@@ -105,6 +105,37 @@ def _subset_scatter(y: np.ndarray, mask: np.ndarray, m: int) -> np.ndarray:
     return (ys.T @ ys) / m
 
 
+def _prune_to_fixed_point(
+    y: np.ndarray, mask: np.ndarray, lam: float, norms: np.ndarray | None = None
+) -> np.ndarray:
+    """Iterate ``F(S) = {i in S : y_i^T a_S^{-1} y_i <= lam}`` on ``mask`` in
+    place until nothing is dropped, and return the fixed point's own norms
+    (one per member, in index order; empty when the fixed point is empty).
+
+    ``a_S = (1/m) sum_{j in S} y_j y_j^T`` with m the full row count. A
+    singular scatter matrix drops every remaining point (the norm is taken
+    as +inf for all vectors, including zero vectors). ``norms``, if given,
+    must be the members' norms under the scatter of the current mask; the
+    first pass then needs no eigendecomposition.
+    """
+    m = y.shape[0]
+    while True:
+        if norms is None:
+            if not np.any(mask):
+                return np.empty(0)
+            w, u = np.linalg.eigh(_subset_scatter(y, mask, m))
+            if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
+                mask[:] = False
+                return np.empty(0)
+            coords = (y[mask] @ u) / np.sqrt(w)
+            norms = np.einsum("ij,ij->i", coords, coords)
+        out = norms > lam
+        if not np.any(out):
+            return norms
+        mask[np.flatnonzero(mask)[out]] = False
+        norms = None
+
+
 def largest_good_subset(y: np.ndarray, lam: float) -> np.ndarray:
     """Largest subset whose own scatter matrix certifies every member.
 
@@ -114,27 +145,22 @@ def largest_good_subset(y: np.ndarray, lam: float) -> np.ndarray:
     singular scatter matrix drops every remaining point (the norm is taken
     as +inf for all vectors, including zero vectors), so the result is then
     empty. Returns sorted 0-based indices.
+
+    The pruning map F above is monotone in s: a larger subset has a larger
+    scatter (in the Loewner order), hence smaller norms, and a singular
+    scatter drops every row, so F(s) is contained in F(t) when s is in t.
+    F is monotone in lam too. The iteration from the full set therefore
+    ends at the greatest fixed point, the union of all certified subsets,
+    and the result for a smaller lam is a subset of the result for a
+    larger one.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[0] < 1:
         raise DimensionMismatch(f"expected a nonempty 2-d array, got shape {y.shape}")
     if not lam > 0.0:
         raise PreconditionViolated(f"lam must be positive, got {lam}")
-    m = y.shape[0]
-    mask = np.ones(m, dtype=bool)
-    while np.any(mask):
-        a = _subset_scatter(y, mask, m)
-        w, u = np.linalg.eigh(a)
-        if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
-            mask[:] = False
-            break
-        coords = (y[mask] @ u) / np.sqrt(w)
-        norms = np.einsum("ij,ij->i", coords, coords)
-        out = norms > lam
-        if not np.any(out):
-            break
-        idx = np.flatnonzero(mask)
-        mask[idx[out]] = False
+    mask = np.ones(y.shape[0], dtype=bool)
+    _prune_to_fixed_point(y, mask, lam)
     return np.flatnonzero(mask).astype(np.int64)
 
 
@@ -142,32 +168,33 @@ def _ladder_subset_sizes_and_counts(
     y: np.ndarray, cfg: EstimatorConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sizes |S_l| for l = 0..2k and per-point retention counts over
-    l = k+1..2k, sharing the full-set first pass across ladder rungs."""
+    l = k+1..2k, where S_l is largest_good_subset(y, lambda_l).
+
+    One top-down sweep: rung 2k starts from the full set and every lower
+    rung starts from the rung above's fixed point. Since the pruning map is
+    monotone in the subset and in lambda (see largest_good_subset), the
+    greatest fixed points are nested, S_l in S_{l+1}, so iterating from
+    S_{l+1} at lambda_l reaches S_l exactly. The fixed point's own norms
+    carry over: a rung where none exceeds lambda_l costs no
+    eigendecomposition, and once a rung is empty every lower rung is.
+    The warm start makes the nesting hold in floating point by
+    construction; restarting each rung from the full set did not
+    guarantee it.
+    """
     m = y.shape[0]
     k = cfg.k
     thresholds = cfg.thresholds()
     sizes = np.zeros(2 * k + 1, dtype=np.int64)
     counts = np.zeros(m, dtype=np.int64)
-
-    full = largest_good_subset  # first pass below mirrors its loop
-    a = _subset_scatter(y, np.ones(m, dtype=bool), m)
-    w, u = np.linalg.eigh(a)
-    if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
-        base_norms = None  # singular full-set scatter: every rung is empty
-    else:
-        coords = (y @ u) / np.sqrt(w)
-        base_norms = np.einsum("ij,ij->i", coords, coords)
-
-    for ell, lam in enumerate(thresholds):
-        if base_norms is None:
-            subset = np.empty(0, dtype=np.int64)
-        elif not np.any(base_norms > lam):
-            subset = np.arange(m, dtype=np.int64)  # full set is the fixpoint
-        else:
-            subset = full(y, float(lam))
-        sizes[ell] = subset.size
+    mask = np.ones(m, dtype=bool)
+    norms = None
+    for ell in range(2 * k, -1, -1):
+        norms = _prune_to_fixed_point(y, mask, float(thresholds[ell]), norms)
+        if norms.size == 0:
+            break
+        sizes[ell] = norms.size
         if ell > k:
-            counts[subset] += 1
+            counts[mask] += 1
     return sizes, counts
 
 

@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from dpgs.estimators import (
     EstimatorConfig,
+    _ladder_subset_sizes_and_counts,
     largest_core,
     largest_good_subset,
     pair_and_rescale,
@@ -19,6 +20,7 @@ from dpgs.exceptions import (
     OddRowCount,
     PreconditionViolated,
 )
+from dpgs.linalg import SINGULAR_RTOL
 
 CFG = EstimatorConfig(lambda0=4.0, k=5)
 
@@ -174,6 +176,108 @@ def test_stable_cov_score_zero_iff_base_threshold_clean():
     a = (y.T @ y) / y.shape[0]
     norms = (y[:, 0] ** 2) / a[0, 0]
     assert (out.score == 0) == bool(np.all(norms <= CFG.lambda0))
+
+
+def reference_good_subset(y, lam):
+    """The pruning loop restarted from the full set, written out on its own
+    so that it shares no code with the estimator."""
+    m = y.shape[0]
+    mask = np.ones(m, dtype=bool)
+    while np.any(mask):
+        a = (y[mask].T @ y[mask]) / m
+        w, u = np.linalg.eigh(a)
+        if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
+            mask[:] = False
+            break
+        coords = (y[mask] @ u) / np.sqrt(w)
+        out = np.einsum("ij,ij->i", coords, coords) > lam
+        if not np.any(out):
+            break
+        mask[np.flatnonzero(mask)[out]] = False
+    return np.flatnonzero(mask)
+
+
+def restart_ladder(y, cfg):
+    """Reference ladder: every rung restarts from the full set."""
+    k = cfg.k
+    sizes = np.zeros(2 * k + 1, dtype=np.int64)
+    counts = np.zeros(y.shape[0], dtype=np.int64)
+    for ell, lam in enumerate(cfg.thresholds()):
+        subset = reference_good_subset(y, lam)
+        assert np.array_equal(largest_good_subset(y, float(lam)), subset)
+        sizes[ell] = subset.size
+        if ell > k:
+            counts[subset] += 1
+    return sizes, counts
+
+
+def _planted(gen, n, d):
+    x = gen.standard_normal((n, d))
+    for row in gen.choice(n, size=gen.integers(1, max(2, n // 4)), replace=False):
+        u = gen.standard_normal(d)
+        x[row] += 1e6 * u / np.linalg.norm(u)
+    return x
+
+
+def _rank_deficient(gen, n, d):
+    # the last column is a combination of the others except on a few rows,
+    # so pruning those rows leaves a singular scatter
+    x = gen.standard_normal((n, d))
+    x[:, -1] = x[:, : d - 1] @ gen.standard_normal(d - 1)
+    few = gen.choice(n, size=max(1, n // 10), replace=False)
+    x[few, -1] += gen.uniform(0.1, 100.0) * gen.standard_normal(few.size)
+    return x
+
+
+def _duplicates(gen, n, d):
+    x = gen.standard_normal((n, d)) * gen.uniform(0.1, 10.0, size=d)
+    x[: n // 3] = x[n - 1]
+    x[n // 3 : n // 2] = -x[0]
+    return x
+
+
+def _zero_rows(gen, n, d):
+    # rows i and i + n/2 equal: their pair vector y_i is exactly zero
+    x = gen.standard_normal((n, d))
+    zero = gen.choice(n // 2, size=max(1, n // 6), replace=False)
+    x[zero + n // 2] = x[zero]
+    return x
+
+
+LADDER_INPUTS = {
+    "clean": lambda gen, n, d: gen.standard_normal((n, d)),
+    "planted_1e6": _planted,
+    "cauchy": lambda gen, n, d: gen.standard_cauchy((n, d)),
+    "rank_deficient": _rank_deficient,
+    "duplicates": _duplicates,
+    "zero_rows": _zero_rows,
+    "all_zero": lambda gen, n, d: np.zeros((n, d)),
+    "fewer_pairs_than_dims": lambda gen, n, d: gen.standard_normal((2, d + 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_INPUTS))
+@pytest.mark.parametrize("k", [5, 33])
+def test_ladder_matches_restart_from_full_set(name, k):
+    # The warm-started sweep must equal the per-rung restart bit for bit,
+    # in the ladder sizes and counts and in stable_cov's score and weights.
+    gen = np.random.default_rng([k, *name.encode()])
+    for m in (1, 2, 5, 40, 120):
+        for d in (1, 3):
+            for lambda0 in (1.0, 3.0, 12.0):
+                x = LADDER_INPUTS[name](gen, 2 * m, d)
+                y = pair_and_rescale(x)
+                cfg = EstimatorConfig(lambda0=lambda0, k=k)
+                sizes, counts = restart_ladder(y, cfg)
+                got_sizes, got_counts = _ladder_subset_sizes_and_counts(y, cfg)
+                assert np.array_equal(got_sizes, sizes)
+                assert np.array_equal(got_counts, counts)
+                out = stable_cov(x, cfg)
+                mm = y.shape[0]
+                score = int(min(k, np.min(mm - sizes[: k + 1] + np.arange(k + 1))))
+                assert out.score == score
+                assert np.array_equal(out.counts, counts)
+                assert np.array_equal(out.weights, counts / (k * mm))
 
 
 def test_largest_core_counts_neighbors():
