@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +36,6 @@ FORMAT_VERSION = 1
 DEFAULT_SEED = 20_240_817
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved common options shared by the subcommands."""
-
-    seed: int
-    threads: int = 1
-    mode: str = "relaxed"
-    out: str | None = None
-
-
 def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
@@ -57,6 +46,18 @@ def _resolve_seed(value: int | None) -> int:
         except ValueError as exc:
             raise InvalidParams(f"DPGS_SEED must be an integer, got {env!r}") from exc
     return DEFAULT_SEED
+
+
+def _thread_count(text: str) -> int:
+    """argparse type for ``audit --threads``: an integer in [1, cpu_count]."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    top = os.cpu_count() or 1
+    if not 1 <= value <= top:
+        raise argparse.ArgumentTypeError(f"must be in [1, {top}], got {value}")
+    return value
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -251,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--trials", type=int)
     p_audit.add_argument("--mode", choices=("relaxed", "strict"), default="relaxed")
     p_audit.add_argument("--seed", type=int)
-    p_audit.add_argument("--threads", type=int, default=1)
+    p_audit.add_argument(
+        "--threads", type=_thread_count, default=1, help="worker threads, 1..cpu_count"
+    )
     p_audit.add_argument("--out")
     p_audit.add_argument("--summary", help="also write the CSV summary here")
     p_audit.set_defaults(fn=cmd_audit)

@@ -37,6 +37,10 @@ class ShapeMismatch(DpgsError, ValueError):
     """Dataset shape does not match the plan."""
 
 
+class NonFiniteInput(DpgsError, ValueError):
+    """A dataset holds a NaN or infinite entry."""
+
+
 class OutOfSupport(DpgsError, ValueError):
     """Density evaluation point lies outside the support."""
 

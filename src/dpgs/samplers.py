@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .estimators import EstimatorConfig, stable_cov, stable_mean
-from .exceptions import ShapeMismatch, SubsetTooLarge
+from .exceptions import NonFiniteInput, ShapeMismatch, SubsetTooLarge
 from .linalg import sym_sqrt
 from .privacy import (
     PrivacyParams,
@@ -76,6 +76,13 @@ class RunTrace:
         }
 
 
+def _check_finite(x: np.ndarray) -> None:
+    # Runs before the stream is touched, so a rejected call consumes no
+    # randomness and a NaN or inf can never reach the gate or the release.
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("dataset holds a NaN or infinite entry")
+
+
 def _gate(score: float, params: PrivacyParams, gen: np.random.Generator) -> PtrOutcome:
     gate_params = params.split(GATE_EPS_FRAC, GATE_DELTA_FRAC)
     threshold = pass_threshold(gate_params)
@@ -97,6 +104,7 @@ def sample_unbounded(
     x = np.asarray(x, dtype=float)
     if x.shape != (plan.n, plan.d):
         raise ShapeMismatch(f"dataset shape {x.shape} does not match plan {(plan.n, plan.d)}")
+    _check_finite(x)
     gen = rng.generator()
     ref = subset_indices(gen, plan.n1, plan.ref_size)
 
@@ -161,6 +169,7 @@ def cov_aware_mean(
         raise SubsetTooLarge(
             f"reference size {m_ref} exceeds the {mean_block.shape[0]}-row mean block"
         )
+    _check_finite(x)
 
     gen = rng.generator()
     ref = subset_indices(gen, mean_block.shape[0], m_ref)
@@ -201,6 +210,7 @@ def sample_known_cov(
     x = np.asarray(x, dtype=float)
     if x.shape != (plan.n1, plan.d):
         raise ShapeMismatch(f"dataset shape {x.shape} does not match plan {(plan.n1, plan.d)}")
+    _check_finite(x)
     gen = rng.generator()
     ref = subset_indices(gen, plan.n1, plan.ref_size)
     cfg = EstimatorConfig(plan.lambda0, plan.k)

@@ -2,11 +2,13 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 import dpgs.audit as audit_mod
+import dpgs.cli as cli_mod
 from dpgs.audit import AuditReport
 from dpgs.cli import main
 
@@ -150,6 +152,16 @@ class TestSample:
         assert code == 2
         assert "does not match plan" in err
 
+    def test_non_finite_entry_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("x1\n" + "\n".join(["1.0"] * 1065 + ["nan"]) + "\n")
+        code, out, err = run_cli(
+            capsys, "sample", *PLAN_ARGS, "--in", str(path), "--seed", "9"
+        )
+        assert code == 2
+        assert out == ""
+        assert "NaN or infinite" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sample", *PLAN_ARGS, "--in", str(tmp_path / "nope.csv")
@@ -219,6 +231,17 @@ class TestAudit:
         code, _, err = run_cli(capsys, "audit", "--check", "bogus")
         assert code == 2
         assert "unknown check" in err
+
+    @pytest.mark.parametrize("threads", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_bad_thread_count_is_a_parse_error(self, capsys, monkeypatch, threads):
+        def never(*args, **kwargs):
+            raise AssertionError("run_checks ran")
+
+        monkeypatch.setattr(cli_mod, "run_checks", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--check", "density_lemmas", "--threads", str(threads)])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
     def test_failing_verdict_exits_one(self, capsys, monkeypatch):
         def fake(trials, mode, seed, threads):

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from dpgs.estimators import EstimatorConfig, stable_cov, stable_mean
-from dpgs.exceptions import ShapeMismatch, SubsetTooLarge
+from dpgs.exceptions import NonFiniteInput, ShapeMismatch, SubsetTooLarge
 from dpgs.linalg import sym_sqrt
 from dpgs.privacy import PrivacyParams, PtrOutcome, plan
 from dpgs.randomness import RngStream
@@ -27,6 +27,35 @@ def test_shape_mismatch_rejected():
         sample_unbounded(np.zeros((PLAN.n, 2)), PLAN, RngStream(0))
     with pytest.raises(ShapeMismatch):
         sample_known_cov(np.zeros((PLAN.n1 + 1, 1)), PLAN, RngStream(0))
+
+
+class UntouchedStream(RngStream):
+    """A stream whose generator must never be created."""
+
+    def generator(self):
+        raise AssertionError("the stream was drawn from")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected_before_any_draw(bad):
+    gen = np.random.default_rng(99)
+    x = gaussian_data(gen, PLAN2.n, [1.0, 2.0], np.eye(2))
+    mean_row, cov_row = 3, PLAN2.n1 + 5
+    for row in (mean_row, cov_row):
+        xb = x.copy()
+        xb[row, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            sample_unbounded(xb, PLAN2, UntouchedStream(0))
+        with pytest.raises(NonFiniteInput):
+            cov_aware_mean(xb, PLAN2.params, PLAN2.lambda0, UntouchedStream(0))
+        with pytest.raises(NonFiniteInput):
+            cov_aware_mean(
+                xb, PLAN2.params, PLAN2.lambda0, UntouchedStream(0), split_n1=PLAN2.n1
+            )
+    xk = x[: PLAN2.n1].copy()
+    xk[mean_row, 0] = bad
+    with pytest.raises(NonFiniteInput):
+        sample_known_cov(xk, PLAN2, UntouchedStream(0))
 
 
 def test_unbounded_deterministic_replay():
