@@ -108,15 +108,12 @@ def _subset_scatter(y: np.ndarray, mask: np.ndarray, m: int) -> np.ndarray:
 def _prune_to_fixed_point(
     y: np.ndarray, mask: np.ndarray, lam: float, norms: np.ndarray | None = None
 ) -> np.ndarray:
-    """Iterate ``F(S) = {i in S : y_i^T a_S^{-1} y_i <= lam}`` on ``mask`` in
-    place until nothing is dropped, and return the fixed point's own norms
-    (one per member, in index order; empty when the fixed point is empty).
+    """Run largest_good_subset's pruning loop on ``mask`` in place until
+    nothing is dropped, and return the fixed point's own norms (one per
+    member, in index order; empty when the fixed point is empty).
 
-    ``a_S = (1/m) sum_{j in S} y_j y_j^T`` with m the full row count. A
-    singular scatter matrix drops every remaining point (the norm is taken
-    as +inf for all vectors, including zero vectors). ``norms``, if given,
-    must be the members' norms under the scatter of the current mask; the
-    first pass then needs no eigendecomposition.
+    ``norms``, if given, must be the members' norms under the scatter of
+    the current mask; the first pass then needs no eigendecomposition.
     """
     m = y.shape[0]
     while True:
@@ -146,13 +143,13 @@ def largest_good_subset(y: np.ndarray, lam: float) -> np.ndarray:
     as +inf for all vectors, including zero vectors), so the result is then
     empty. Returns sorted 0-based indices.
 
-    The pruning map F above is monotone in s: a larger subset has a larger
-    scatter (in the Loewner order), hence smaller norms, and a singular
-    scatter drops every row, so F(s) is contained in F(t) when s is in t.
-    F is monotone in lam too. The iteration from the full set therefore
-    ends at the greatest fixed point, the union of all certified subsets,
-    and the result for a smaller lam is a subset of the result for a
-    larger one.
+    In exact arithmetic the pruning map F above is monotone in s: a larger
+    subset has a larger scatter (in the Loewner order), hence smaller
+    norms, and a singular scatter drops every row, so F(s) is contained in
+    F(t) when s is in t. F is monotone in lam too. The iteration from the
+    full set therefore ends at the greatest fixed point, the union of all
+    subsets that certify every member, and the result for a smaller lam is
+    a subset of the result for a larger one.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[0] < 1:

@@ -273,11 +273,11 @@ def test_ladder_matches_restart_from_full_set(name, k):
                 assert np.array_equal(got_sizes, sizes)
                 assert np.array_equal(got_counts, counts)
                 out = stable_cov(x, cfg)
-                mm = y.shape[0]
-                score = int(min(k, np.min(mm - sizes[: k + 1] + np.arange(k + 1))))
+                pairs = y.shape[0]
+                score = int(min(k, np.min(pairs - sizes[: k + 1] + np.arange(k + 1))))
                 assert out.score == score
                 assert np.array_equal(out.counts, counts)
-                assert np.array_equal(out.weights, counts / (k * mm))
+                assert np.array_equal(out.weights, counts / (k * pairs))
 
 
 def test_largest_core_counts_neighbors():
