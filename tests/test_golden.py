@@ -1,11 +1,13 @@
-"""Golden fixed-seed outputs of the three release pipelines.
+"""Golden fixed-seed outputs of the three release pipelines and the audit.
 
-Each case runs sample_unbounded, cov_aware_mean and sample_known_cov on one
+Each pipeline case runs sample_unbounded, cov_aware_mean and sample_known_cov on one
 dataset under a few stream seeds and hashes, with sha256, the released bytes,
 both scores and the gate bit. The datasets are generated here from fixed
 seeds: clean d=1 data, and d=20 data with an ill-conditioned covariance and
 1e6-sigma rows planted in both blocks, enough that the covariance ladder
 prunes on many rungs and the gate both passes and fails across the seeds.
+The audit case hashes the JSON lines of three run_checks checks that run
+both estimators and the pipelines, at small trial counts.
 A change that moves any of these bytes must say which bytes and why, and
 only then update a digest.
 """
@@ -16,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+from dpgs.audit import reports_to_json_lines, run_checks
 from dpgs.privacy import PrivacyParams, plan
 from dpgs.randomness import RngStream
 from dpgs.samplers import cov_aware_mean, sample_known_cov, sample_unbounded
@@ -96,3 +99,15 @@ GOLDEN = {
 def test_pipeline_outputs_match_golden(name, d, make):
     sp = plan(0.2, PARAMS, d)
     assert pipeline_digests(*make(sp), sp) == GOLDEN[name]
+
+
+AUDIT_TRIALS = {"score_sensitivity": 24, "mean_stability": 12, "end_to_end": 60}
+AUDIT_GOLDEN = "eb952189e169a8c3bc0f7bb767ed0170a8cfdc446c034dddae8169a8f3c68fdb"
+
+
+def test_audit_reports_match_golden():
+    lines = "".join(
+        reports_to_json_lines(run_checks((name,), trials=trials))
+        for name, trials in AUDIT_TRIALS.items()
+    )
+    assert hashlib.sha256(lines.encode()).hexdigest() == AUDIT_GOLDEN
