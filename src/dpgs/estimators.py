@@ -172,11 +172,13 @@ def _ladder_subset_sizes_and_counts(
     monotone in the subset and in lambda (see largest_good_subset), the
     greatest fixed points are nested, S_l in S_{l+1}, so iterating from
     S_{l+1} at lambda_l reaches S_l exactly. The fixed point's own norms
-    carry over: a rung where none exceeds lambda_l costs no
-    eigendecomposition, and once a rung is empty every lower rung is.
-    The warm start makes the nesting hold in floating point by
-    construction; restarting each rung from the full set did not
-    guarantee it.
+    carry over, and every lower rung whose threshold none of them exceeds
+    (the pruning test is ``norm > lambda``, so a norm equal to a threshold
+    stays and a NaN norm never prunes) keeps the same subset: one
+    searchsorted assigns that whole run of rungs without another pass.
+    Once a rung is empty every lower rung is. The warm start makes the
+    nesting hold in floating point by construction; restarting each rung
+    from the full set did not guarantee it.
     """
     m = y.shape[0]
     k = cfg.k
@@ -185,13 +187,16 @@ def _ladder_subset_sizes_and_counts(
     counts = np.zeros(m, dtype=np.int64)
     mask = np.ones(m, dtype=bool)
     norms = None
-    for ell in range(2 * k, -1, -1):
+    ell = 2 * k
+    while ell >= 0:
         norms = _prune_to_fixed_point(y, mask, float(thresholds[ell]), norms)
         if norms.size == 0:
             break
-        sizes[ell] = norms.size
-        if ell > k:
-            counts[mask] += 1
+        top = np.max(norms, initial=-np.inf, where=~np.isnan(norms))
+        low = int(np.searchsorted(thresholds, top, side="left"))
+        sizes[low : ell + 1] = norms.size
+        counts[mask] += max(0, ell - max(low, k + 1) + 1)
+        ell = low - 1
     return sizes, counts
 
 
@@ -212,14 +217,40 @@ def stable_cov(x: np.ndarray, cfg: EstimatorConfig) -> WeightedCovOutput:
     return WeightedCovOutput(w_matrix=w_matrix, weights=weights, counts=counts, score=score)
 
 
-def _pairwise_mahalanobis_sq(
-    x: np.ndarray, ref: np.ndarray, sigma: np.ndarray
-) -> np.ndarray:
-    """All squared Mahalanobis distances ||x_i - ref_j||^2_sigma.
+# Relative slack of every neighbor-count certificate. It is far above the
+# gamma_{d+2} ~ (d+2) 2^-53 rounding bound of the expanded form
+# aa + bb - 2ab (and of the certificate's own arithmetic) for any d below
+# about 9000.
+_CERT_ETA = 1e-12
+# Absolute slack that covers underflow in the certificate's sums of squares.
+_CERT_FLOOR = 1e-280
 
-    Uses the pseudoinverse-limit convention of mahalanobis_sq: with a
-    singular sigma, differences outside range(sigma) get +inf while
-    differences inside it (in particular exact ties) use sigma^+.
+
+def _neighbor_counts(
+    x: np.ndarray, ref: np.ndarray, sigma: np.ndarray, lam: float
+) -> np.ndarray:
+    """Per row of x, the number of ref rows with ``||x_i - ref_j||^2_sigma <= lam``.
+
+    The counts equal, bit for bit, those of the dense n x |ref| matrix of
+    expanded squared distances ``aa + bb - 2ab`` between the whitened rows
+    a = x U / sqrt(w) and b = ref U / sqrt(w) (sigma = U diag(w) U^T), but
+    that matrix is formed only when a certificate cannot decide a pair.
+
+    The certificates work around a center c (a coordinate-wise median of
+    b) and bound each true squared distance T by the triangle inequality or
+    by a centered expansion. The dense value D differs from T by at most
+    gamma_{d+2} (|a_i| + |b_j|)^2, so a certificate whose bound clears lam
+    by eta ((|a_i| + |b_j|)^2 + lam), eta = 1e-12, puts the pair on the
+    same side of lam as D; see _certified_counts. The certificate declines
+    (and the dense matrix decides every pair) when data sits so far from
+    the origin that eta (max|a| + max|b|)^2 >= lam, where the dense
+    rounding error itself could reach lam, and when any pair lies within
+    that slack of lam.
+
+    A singular or zero sigma (an eigenvalue <= SINGULAR_RTOL times the
+    largest) uses the pseudoinverse-limit convention of mahalanobis_sq:
+    differences outside range(sigma) get +inf while differences inside it
+    (in particular exact ties) use sigma^+, all from the dense matrices.
     """
     sigma = check_symmetric(sigma)
     d = sigma.shape[0]
@@ -232,10 +263,14 @@ def _pairwise_mahalanobis_sq(
         sq = _pairwise_sq_euclid(x, ref)
         dist = np.where(sq <= (RANGE_RTOL**2) * 1e-300, 0.0, np.inf)
         dist[sq == 0.0] = 0.0
-        return dist
+        return np.sum(dist <= lam, axis=1)
     keep = w > SINGULAR_RTOL * top
     xk = (x @ u[:, keep]) / np.sqrt(w[keep])
     rk = (ref @ u[:, keep]) / np.sqrt(w[keep])
+    if np.all(keep):
+        counts = _certified_counts(xk, rk, lam)
+        if counts is not None:
+            return counts
     dist = _pairwise_sq_euclid(xk, rk)
     if not np.all(keep):
         xn = x @ u[:, ~keep]
@@ -243,7 +278,82 @@ def _pairwise_mahalanobis_sq(
         null_mass = _pairwise_sq_euclid(xn, rn)
         raw = _pairwise_sq_euclid(x, ref)
         dist = np.where(null_mass > (RANGE_RTOL**2) * raw, np.inf, dist)
-    return dist
+    return np.sum(dist <= lam, axis=1)
+
+
+def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | None:
+    """Neighbor counts of rows a over refs b decided without the dense
+    matrix, or None when some pair is left undecided.
+
+    With r_i = |a_i - c| and s_j = |b_j - c|, the core refs are those with
+    s_j <= sqrt(lam)/2 and rho is their largest s_j. A row counts the whole
+    core when (r_i + rho)^2 (1 + eta) + slack_i <= lam, and none of it when
+    r_i > rho and (r_i - rho)^2 (1 - eta) - slack_i > lam, with
+    slack_i = eta ((|a_i| + max_core |b|)^2 + lam). Rows that neither test
+    decides, and every row against the far refs, go pair by pair through
+    _certified_pairs. All tests are written so that a NaN or an overflow to
+    inf leaves the pair undecided.
+    """
+    an = np.sqrt(np.einsum("ij,ij->i", a, a))
+    bn = np.sqrt(np.einsum("ij,ij->i", b, b))
+    if not _CERT_ETA * (an.max() + bn.max()) ** 2 < lam:
+        return None
+    half = b.shape[0] // 2
+    c = np.partition(b, half, axis=0)[half]
+    ac = a - c
+    bc = b - c
+    r = np.sqrt(np.einsum("ij,ij->i", ac, ac))
+    s = np.sqrt(np.einsum("ij,ij->i", bc, bc))
+    core = s <= 0.5 * math.sqrt(lam)
+    counts = np.zeros(a.shape[0], dtype=np.int64)
+    pending = np.ones(a.shape[0], dtype=bool)
+    if core.any():
+        rho = s[core].max()
+        slack = _CERT_ETA * ((an + bn[core].max()) ** 2 + lam) + _CERT_FLOOR
+        inside = (r + rho) ** 2 * (1.0 + _CERT_ETA) + slack <= lam
+        outside = (r > rho) & ((r - rho) ** 2 * (1.0 - _CERT_ETA) - slack > lam)
+        counts[inside] = np.count_nonzero(core)
+        pending = ~(inside | outside)
+    everyone = np.ones(a.shape[0], dtype=bool)
+    for rows, cols in ((pending, core), (everyone, ~core)):
+        if not (rows.any() and cols.any()):
+            continue
+        inside = _certified_pairs(
+            ac[rows], bc[cols], r[rows], s[cols], an[rows], bn[cols], lam
+        )
+        if inside is None:
+            return None
+        counts[rows] += inside
+    return counts
+
+
+def _certified_pairs(
+    ac: np.ndarray,
+    bc: np.ndarray,
+    r: np.ndarray,
+    s: np.ndarray,
+    an: np.ndarray,
+    bn: np.ndarray,
+    lam: float,
+) -> np.ndarray | None:
+    """Per row, the refs certified inside lam, or None if a pair is undecided.
+
+    t = r^2 + s^2 - 2 (a_i - c).(b_j - c) estimates the true squared
+    distance within gamma_{d+2} (r_i + s_j)^2 plus the rounding of the
+    centering, and the dense value is within gamma_{d+2} (|a_i| + |b_j|)^2
+    of it, so a margin of eta ((r_i + s_j)^2 + (|a_i| + |b_j|)^2 + lam)
+    decides the pair as the dense comparison does.
+    """
+    t = (r**2)[:, None] + (s**2)[None, :] - 2.0 * (ac @ bc.T)
+    slack = (
+        _CERT_ETA
+        * ((r[:, None] + s[None, :]) ** 2 + (an[:, None] + bn[None, :]) ** 2 + lam)
+        + _CERT_FLOOR
+    )
+    inside = t + slack <= lam
+    if not (inside | (t - slack > lam)).all():
+        return None
+    return np.count_nonzero(inside, axis=1)
 
 
 def _pairwise_sq_euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -267,8 +377,7 @@ def largest_core(
     r = _check_reference(r, x.shape[0])
     if not lam > 0.0:
         raise PreconditionViolated(f"lam must be positive, got {lam}")
-    dist = _pairwise_mahalanobis_sq(x, x[r], sigma_hat)
-    nbrs = np.sum(dist <= lam, axis=1)
+    nbrs = _neighbor_counts(x, x[r], sigma_hat, lam)
     return np.flatnonzero(nbrs >= tau).astype(np.int64)
 
 
@@ -278,7 +387,7 @@ def _check_reference(r: np.ndarray, n: int) -> np.ndarray:
         raise EmptyReferenceSet("reference set is empty")
     if np.any(r < 0) or np.any(r >= n):
         raise PreconditionViolated("reference indices out of range")
-    if np.unique(r).size != r.size:
+    if np.bincount(r, minlength=n).max() > 1:
         raise PreconditionViolated("reference indices must be distinct")
     return r
 
@@ -296,6 +405,16 @@ def stable_mean(
     core_lambda (default ``e^2 * lambda0``), scoring like stable_cov and
     counting retention over l = k+1..2k; weights are counts / sum(counts),
     or all zero when no row is ever retained.
+
+    Neighbor counts come from _neighbor_counts. They equal those of the
+    dense matrix of expanded squared distances aa + bb - 2ab between the
+    whitened rows, whose rounding error is at most gamma_{d+2} (|a| + |b|)^2
+    with gamma_{d+2} ~ (d+2) 2^-53; certificates with a relative slack of
+    1e-12 decide most pairs without forming that matrix. They decline, and
+    the dense matrix is formed, when sigma_hat is singular, when a pair's
+    distance lies within the slack of the radius, and when the data sit so
+    far from the origin in whitened units (roughly 1e6 sqrt(core_lambda))
+    that the dense rounding error itself could reach the radius.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -314,11 +433,10 @@ def stable_mean(
     if not lam > 0.0:
         raise PreconditionViolated(f"core_lambda must be positive, got {lam}")
 
-    dist = _pairwise_mahalanobis_sq(x, x[r], sigma_hat)
-    nbrs = np.sum(dist <= lam, axis=1)
+    nbrs = _neighbor_counts(x, x[r], sigma_hat, lam)
     # Row i enters S_l exactly when l >= t_i = |r| - nbrs_i.
     t = r.size - nbrs
-    sizes = np.sum(t[None, :] <= np.arange(2 * k + 1)[:, None], axis=1)
+    sizes = np.cumsum(np.bincount(np.minimum(t, 2 * k + 1), minlength=2 * k + 2))[: 2 * k + 1]
     score = int(min(k, np.min(n - sizes[: k + 1] + np.arange(k + 1))))
     counts = np.clip(2 * k - np.maximum(k + 1, t) + 1, 0, k).astype(np.int64)
     total = int(counts.sum())

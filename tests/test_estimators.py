@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from dpgs import estimators
 from dpgs.estimators import (
     EstimatorConfig,
     _ladder_subset_sizes_and_counts,
+    _neighbor_counts,
     largest_core,
     largest_good_subset,
     pair_and_rescale,
@@ -20,7 +22,7 @@ from dpgs.exceptions import (
     OddRowCount,
     PreconditionViolated,
 )
-from dpgs.linalg import SINGULAR_RTOL
+from dpgs.linalg import RANGE_RTOL, SINGULAR_RTOL
 
 CFG = EstimatorConfig(lambda0=4.0, k=5)
 
@@ -256,28 +258,186 @@ LADDER_INPUTS = {
 }
 
 
+def full_set_top_norm(y):
+    """Largest norm of the full set under its own scatter, by the same
+    expression as the pruning loop, or None when the scatter is singular."""
+    w, u = np.linalg.eigh((y.T @ y) / y.shape[0])
+    if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
+        return None
+    coords = (y @ u) / np.sqrt(w)
+    return float(np.max(np.einsum("ij,ij->i", coords, coords)))
+
+
+def lambda0_for_threshold(top, ell, k):
+    """A lambda0 >= 1 whose rung ell threshold equals top exactly, or None."""
+    lambda0 = top / math.exp(ell / k)
+    for _ in range(64):
+        if lambda0 < 1.0:
+            return None
+        got = EstimatorConfig(lambda0=lambda0, k=k).thresholds()[ell]
+        if got == top:
+            return lambda0
+        lambda0 = np.nextafter(lambda0, -np.inf if got > top else np.inf)
+    return None
+
+
+def assert_ladder_matches_restart(x, cfg):
+    k = cfg.k
+    y = pair_and_rescale(x)
+    sizes, counts = restart_ladder(y, cfg)
+    got_sizes, got_counts = _ladder_subset_sizes_and_counts(y, cfg)
+    assert np.array_equal(got_sizes, sizes)
+    assert np.array_equal(got_counts, counts)
+    out = stable_cov(x, cfg)
+    pairs = y.shape[0]
+    score = int(min(k, np.min(pairs - sizes[: k + 1] + np.arange(k + 1))))
+    assert out.score == score
+    assert np.array_equal(out.counts, counts)
+    assert np.array_equal(out.weights, counts / (k * pairs))
+
+
 @pytest.mark.parametrize("name", sorted(LADDER_INPUTS))
 @pytest.mark.parametrize("k", [5, 33])
 def test_ladder_matches_restart_from_full_set(name, k):
     # The warm-started sweep must equal the per-rung restart bit for bit,
     # in the ladder sizes and counts and in stable_cov's score and weights.
+    # Each first dataset also runs at lambda0 values that put a rung
+    # threshold exactly on the full set's largest norm: a norm equal to a
+    # threshold does not prune, so rung skipping must keep that rung.
     gen = np.random.default_rng([k, *name.encode()])
     for m in (1, 2, 5, 40, 120):
         for d in (1, 3):
             for lambda0 in (1.0, 3.0, 12.0):
                 x = LADDER_INPUTS[name](gen, 2 * m, d)
-                y = pair_and_rescale(x)
-                cfg = EstimatorConfig(lambda0=lambda0, k=k)
-                sizes, counts = restart_ladder(y, cfg)
-                got_sizes, got_counts = _ladder_subset_sizes_and_counts(y, cfg)
-                assert np.array_equal(got_sizes, sizes)
-                assert np.array_equal(got_counts, counts)
-                out = stable_cov(x, cfg)
-                pairs = y.shape[0]
-                score = int(min(k, np.min(pairs - sizes[: k + 1] + np.arange(k + 1))))
-                assert out.score == score
-                assert np.array_equal(out.counts, counts)
-                assert np.array_equal(out.weights, counts / (k * pairs))
+                assert_ladder_matches_restart(x, EstimatorConfig(lambda0=lambda0, k=k))
+                if lambda0 != 1.0:
+                    continue
+                top = full_set_top_norm(pair_and_rescale(x))
+                if top is None:
+                    continue
+                for ell in (0, k // 2, k + 1, 2 * k):
+                    at_top = lambda0_for_threshold(top, ell, k)
+                    if at_top is not None:
+                        assert_ladder_matches_restart(x, EstimatorConfig(lambda0=at_top, k=k))
+
+
+def dense_neighbor_counts(x, ref, sigma, lam):
+    """The full n x |ref| matrix of expanded squared Mahalanobis distances
+    and its counts, written out on its own so that it shares no code with
+    the estimator: whitened rows, aa + bb - 2ab clipped at 0, and the
+    pseudoinverse-limit convention for a singular or zero sigma."""
+
+    def expanded(a, b):
+        aa = np.einsum("ij,ij->i", a, a)
+        bb = np.einsum("ij,ij->i", b, b)
+        return np.clip(aa[:, None] + bb[None, :] - 2.0 * (a @ b.T), 0.0, None)
+
+    w, u = np.linalg.eigh(sigma)
+    top = float(w[-1])
+    if top <= 0.0:
+        sq = expanded(x, ref)
+        dist = np.where(sq <= (RANGE_RTOL**2) * 1e-300, 0.0, np.inf)
+        dist[sq == 0.0] = 0.0
+    else:
+        keep = w > SINGULAR_RTOL * top
+        dist = expanded((x @ u[:, keep]) / np.sqrt(w[keep]), (ref @ u[:, keep]) / np.sqrt(w[keep]))
+        if not np.all(keep):
+            null_mass = expanded(x @ u[:, ~keep], ref @ u[:, ~keep])
+            dist = np.where(null_mass > (RANGE_RTOL**2) * expanded(x, ref), np.inf, dist)
+    return np.sum(dist <= lam, axis=1), dist
+
+
+def _far_refs(gen, x):
+    # rows 1e2..1e8 scales out, all of them in the reference set
+    rows = gen.choice(x.shape[0], size=max(1, x.shape[0] // 10), replace=False)
+    u = gen.standard_normal((rows.size, x.shape[1]))
+    x[rows] += 10.0 ** gen.uniform(2.0, 8.0, size=(rows.size, 1)) * u
+    return x
+
+
+def _duplicate_rows(gen, x):
+    half = x.shape[0] // 2
+    x[:half] = x[half : 2 * half]
+    x[-1] = x[0]
+    return x
+
+
+NEIGHBOR_INPUTS = {
+    "clean": lambda gen, x: x,
+    "far_refs": _far_refs,
+    "scaled_1e100": lambda gen, x: x * 1e100,
+    "scaled_1e-100": lambda gen, x: x * 1e-100,
+    "offset_1e12": lambda gen, x: x + gen.choice([-1.0, 1.0], size=x.shape[1]) * 1e12,
+    "offset_1e6": lambda gen, x: x + 1e6 * gen.standard_normal(x.shape[1]),
+    "duplicates": _duplicate_rows,
+    "lattice": lambda gen, x: np.round(2.0 * x) / 2.0,
+}
+
+
+def _sigmas(gen, x):
+    d = x.shape[1]
+    v = gen.standard_normal(d)
+    scale = float(np.max(np.abs(x - np.median(x, axis=0)))) ** 2 or 1.0
+    yield "estimate", np.cov(x.T).reshape(d, d) + scale * 1e-6 * np.eye(d)
+    yield "identity", np.eye(d)
+    yield "scaled_identity", scale * np.eye(d)
+    yield "rank_one", scale * np.outer(v, v) / (v @ v)
+    yield "zero", np.zeros((d, d))
+    if d > 1:
+        yield "singular", scale * np.diag(np.r_[np.ones(d - 1), 0.0])
+
+
+@pytest.mark.parametrize("name", sorted(NEIGHBOR_INPUTS))
+@pytest.mark.parametrize("d", [1, 2, 3, 20])
+def test_neighbor_counts_match_dense_matrix(name, d):
+    # The certified counts must equal the dense matrix's counts exactly,
+    # including at radii set to an exact dense pair value, where a
+    # certificate must decline rather than guess.
+    gen = np.random.default_rng([d, *name.encode()])
+    for n in (3, 40, 150):
+        x = NEIGHBOR_INPUTS[name](gen, gen.standard_normal((n, d)) * gen.uniform(0.5, 3.0))
+        ref = x[np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))]
+        for sigma_name, sigma in _sigmas(gen, x):
+            want, dist = dense_neighbor_counts(x, ref, sigma, 1.0)
+            lams = [math.e**2 * lambda0 for lambda0 in (1.0, 30.0, 300.0)]
+            pair_values = dist[np.isfinite(dist) & (dist > 0.0)]
+            if pair_values.size:
+                # exact pair values and the float just below them, among
+                # them the largest, which the row-level bound reaches
+                picks = np.r_[gen.choice(pair_values, size=3), pair_values.max()]
+                lams += [float(v) for v in np.r_[picks, np.nextafter(picks, 0.0)]]
+            scale = float(np.max(np.abs(sigma))) or 1.0
+            if sigma_name != "estimate":
+                lams += [scale * 1e-3, scale * 7.0]
+            for lam in lams:
+                want, _ = dense_neighbor_counts(x, ref, sigma, lam)
+                got = _neighbor_counts(x, ref, sigma, lam)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (n, sigma_name, lam)
+
+
+def test_certificate_skips_the_dense_matrix_on_clean_data(monkeypatch):
+    calls = []
+    dense = estimators._pairwise_sq_euclid
+    monkeypatch.setattr(
+        estimators, "_pairwise_sq_euclid", lambda a, b: calls.append(a.shape) or dense(a, b)
+    )
+    gen = np.random.default_rng(30)
+    cfg = EstimatorConfig(lambda0=106.0, k=33)
+    x = 3.0 + 2.0 * gen.standard_normal((428, 1))
+    sigma = np.array([[4.0]])
+    r = np.arange(428)
+    out = stable_mean(x, sigma, cfg, r)
+    assert calls == []
+    assert out.score == 0 and np.all(out.counts == cfg.k)
+    # Far from the origin in whitened units the dense expansion's own
+    # rounding reaches lambda, so the certificate declines and the dense
+    # matrix decides, with the same counts as the reference.
+    far = x + 1e12 * 2.0
+    lam = math.e**2 * cfg.lambda0
+    got = _neighbor_counts(far, far[r], sigma, lam)
+    assert calls == [(428, 1)]
+    assert np.array_equal(got, dense_neighbor_counts(far, far[r], sigma, lam)[0])
 
 
 def test_largest_core_counts_neighbors():
