@@ -321,11 +321,11 @@ def test_ladder_matches_restart_from_full_set(name, k):
                         assert_ladder_matches_restart(x, EstimatorConfig(lambda0=at_top, k=k))
 
 
-def dense_neighbor_counts(x, ref, sigma, lam):
-    """The full n x |ref| matrix of expanded squared Mahalanobis distances
-    and its counts, written out on its own so that it shares no code with
-    the estimator: whitened rows, aa + bb - 2ab clipped at 0, and the
-    pseudoinverse-limit convention for a singular or zero sigma."""
+def dense_mahalanobis_sq(x, ref, sigma):
+    """The full n x |ref| matrix of expanded squared Mahalanobis distances,
+    written out on its own so that it shares no code with the estimator:
+    whitened rows, aa + bb - 2ab clipped at 0, and the pseudoinverse-limit
+    convention for a singular or zero sigma."""
 
     def expanded(a, b):
         aa = np.einsum("ij,ij->i", a, a)
@@ -344,7 +344,7 @@ def dense_neighbor_counts(x, ref, sigma, lam):
         if not np.all(keep):
             null_mass = expanded(x @ u[:, ~keep], ref @ u[:, ~keep])
             dist = np.where(null_mass > (RANGE_RTOL**2) * expanded(x, ref), np.inf, dist)
-    return np.sum(dist <= lam, axis=1), dist
+    return dist
 
 
 def _far_refs(gen, x):
@@ -398,7 +398,7 @@ def test_neighbor_counts_match_dense_matrix(name, d):
         x = NEIGHBOR_INPUTS[name](gen, gen.standard_normal((n, d)) * gen.uniform(0.5, 3.0))
         ref = x[np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))]
         for sigma_name, sigma in _sigmas(gen, x):
-            want, dist = dense_neighbor_counts(x, ref, sigma, 1.0)
+            dist = dense_mahalanobis_sq(x, ref, sigma)
             lams = [math.e**2 * lambda0 for lambda0 in (1.0, 30.0, 300.0)]
             pair_values = dist[np.isfinite(dist) & (dist > 0.0)]
             if pair_values.size:
@@ -410,7 +410,7 @@ def test_neighbor_counts_match_dense_matrix(name, d):
             if sigma_name != "estimate":
                 lams += [scale * 1e-3, scale * 7.0]
             for lam in lams:
-                want, _ = dense_neighbor_counts(x, ref, sigma, lam)
+                want = np.sum(dist <= lam, axis=1)
                 got = _neighbor_counts(x, ref, sigma, lam)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (n, sigma_name, lam)
@@ -437,7 +437,7 @@ def test_certificate_skips_the_dense_matrix_on_clean_data(monkeypatch):
     lam = math.e**2 * cfg.lambda0
     got = _neighbor_counts(far, far[r], sigma, lam)
     assert calls == [(428, 1)]
-    assert np.array_equal(got, dense_neighbor_counts(far, far[r], sigma, lam)[0])
+    assert np.array_equal(got, np.sum(dense_mahalanobis_sq(far, far[r], sigma) <= lam, axis=1))
 
 
 def test_largest_core_counts_neighbors():
