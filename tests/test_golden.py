@@ -6,6 +6,8 @@ both scores and the gate bit. The datasets are generated here from fixed
 seeds: clean d=1 data, and d=20 data with an ill-conditioned covariance and
 1e6-sigma rows planted in both blocks, enough that the covariance ladder
 prunes on many rungs and the gate both passes and fails across the seeds.
+A second digest per case hashes each call's whole run trace, as sorted-key
+JSON: the reference set, the sizes and the uniformity flags as well.
 The audit case hashes the JSON lines of three run_checks checks that run
 both estimators and the pipelines, at small trial counts.
 A change that moves any of these bytes must say which bytes and why, and
@@ -64,17 +66,20 @@ def release_digest(runs):
     return h.hexdigest()
 
 
-def pipeline_digests(x, known, sp):
+def trace_digest(runs):
+    h = hashlib.sha256()
+    for _, trace in runs:
+        h.update(json.dumps(trace.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def pipeline_runs(x, known, sp):
     return {
-        "sample": release_digest(
-            sample_unbounded(x, sp, RngStream(s, 1)) for s in STREAM_SEEDS
-        ),
-        "mean": release_digest(
+        "sample": [sample_unbounded(x, sp, RngStream(s, 1)) for s in STREAM_SEEDS],
+        "mean": [
             cov_aware_mean(x, sp.params, sp.lambda0, RngStream(s, 2)) for s in STREAM_SEEDS
-        ),
-        "known_cov": release_digest(
-            sample_known_cov(known, sp, RngStream(s, 3)) for s in STREAM_SEEDS
-        ),
+        ],
+        "known_cov": [sample_known_cov(known, sp, RngStream(s, 3)) for s in STREAM_SEEDS],
     }
 
 
@@ -92,13 +97,37 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize(
+TRACE_GOLDEN = {
+    "clean-d1": {
+        "sample": "71a90854fd0ece53e5dae99cf9b9b5e33eae3f63065c24af312599d46b6dc49e",
+        "mean": "583d5bf541500388042721cec2325d5c60552657e4471ea4654d939f1aeb0d17",
+        "known_cov": "7c616d564ff8d1bf5c9a9950f0d8270a4469c9cbbabc3e3a89928018efc43cb8",
+    },
+    "contaminated-d20": {
+        "sample": "692ac085a336f738669db7712cce8ef121cbda4351d29d235f6ca84b70d9fa6b",
+        "mean": "e508fad4276535f1dae86accbd8fb5358eaa8bc412451b342dd7d8d240ee9470",
+        "known_cov": "75d96b1f424a5564be1b576664ec242ffabdfafb63211bf459e54e09473cf097",
+    },
+}
+
+CASES = pytest.mark.parametrize(
     "name, d, make",
     [("clean-d1", 1, clean_d1), ("contaminated-d20", 20, contaminated_d20)],
 )
+
+
+@CASES
 def test_pipeline_outputs_match_golden(name, d, make):
     sp = plan(0.2, PARAMS, d)
-    assert pipeline_digests(*make(sp), sp) == GOLDEN[name]
+    runs = pipeline_runs(*make(sp), sp)
+    assert {key: release_digest(r) for key, r in runs.items()} == GOLDEN[name]
+
+
+@CASES
+def test_pipeline_traces_match_golden(name, d, make):
+    sp = plan(0.2, PARAMS, d)
+    runs = pipeline_runs(*make(sp), sp)
+    assert {key: trace_digest(r) for key, r in runs.items()} == TRACE_GOLDEN[name]
 
 
 AUDIT_TRIALS = {"score_sensitivity": 24, "mean_stability": 12, "end_to_end": 60}
