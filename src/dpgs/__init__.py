@@ -43,14 +43,14 @@ from .privacy import (
     noise_multiplier_sq,
     outlier_threshold,
     plan,
-    ptr_check,
     reference_size,
 )
-from .randomness import RngStream, gaussian_vector, uniform_subset, unit_sphere
+from .randomness import RngStream, subset_indices
 from .samplers import (
     RunTrace,
     SampleResult,
     cov_aware_mean,
+    ptr_check,
     sample_known_cov,
     sample_unbounded,
 )
@@ -78,7 +78,6 @@ __all__ = [
     "audit_utility_events",
     "cov_aware_mean",
     "gate_leakage",
-    "gaussian_vector",
     "ladder_granularity",
     "largest_core",
     "largest_good_subset",
@@ -97,8 +96,7 @@ __all__ = [
     "stable_cov",
     "stable_mean",
     "strict_plan",
-    "uniform_subset",
-    "unit_sphere",
+    "subset_indices",
 ]
 
 __version__ = "0.1.0"

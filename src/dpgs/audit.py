@@ -67,6 +67,10 @@ FORMAT_VERSION = 1
 # "far" adversarial replacements sit this many standard deviations out
 FAR_SCALE = 1.0e6
 
+# end_to_end compares at least this many non-Fail outputs per setting with
+# true draws, so fewer trials could never pass
+END_TO_END_MIN_TRIALS = 50
+
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -978,7 +982,8 @@ def audit_end_to_end(
     3 boot_sigma. The settings share per-trial streams, so the second
     (shifted/scaled) setting must reproduce the first through the exact
     affine map; the worst relative mismatch is checked per trial. Too few
-    non-Fail outputs is reported as a failure, never as a silent pass.
+    non-Fail outputs is reported as a failure, never as a silent pass, and
+    fewer than END_TO_END_MIN_TRIALS trials is refused before any run.
 
     The smoke half reruns one adjacent dataset pair under coupled streams
     and reports a binned divergence estimate of the output laws at the
@@ -988,6 +993,10 @@ def audit_end_to_end(
     """
     if sp.d != 1:
         raise PreconditionViolated("end-to-end audit is wired for d = 1")
+    if trials < END_TO_END_MIN_TRIALS:
+        raise PreconditionViolated(
+            f"end-to-end audit needs at least {END_TO_END_MIN_TRIALS} trials, got {trials}"
+        )
     failures = 0
     stats_out: dict[str, float] = {"alpha": sp.alpha}
 
@@ -1027,7 +1036,7 @@ def audit_end_to_end(
         values = np.array([row[idx] for row in per_trial if row[idx] is not None])
         key = f"s{idx}"
         stats_out[f"fail_rate_{key}"] = 1.0 - values.size / max(trials, 1)
-        if values.size < max(50, trials // 10):
+        if values.size < max(END_TO_END_MIN_TRIALS, trials // 10):
             insufficient = True
             stats_out[f"insufficient_outputs_{key}"] = 1.0
             continue

@@ -165,8 +165,6 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 def cmd_mean(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    if args.lambda0 < 1.0:
-        raise InvalidParams(f"lambda0 must be >= 1, got {args.lambda0}")
     x = _load_csv(args.infile, args.dim)
     rng = RngStream(_resolve_seed(args.seed), 0)
     result, trace = cov_aware_mean(x, params, args.lambda0, rng, split_n1=args.split_n1)

@@ -37,15 +37,6 @@ class SpectralDecomp:
 
 
 @dataclass(frozen=True)
-class Svd:
-    """Full singular value decomposition ``a = u @ diag_rect(s) @ vt``."""
-
-    u: np.ndarray
-    singular_values: np.ndarray
-    vt: np.ndarray
-
-
-@dataclass(frozen=True)
 class MatrixNorms:
     spectral: float
     frobenius: float
@@ -64,10 +55,14 @@ def check_symmetric(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
 
     Symmetry is checked relative to the largest absolute entry so that a
     matrix scaled by 1e6 is judged by the same yardstick as a unit one.
+    An exactly symmetric matrix without NaN entries passes that test, so
+    it returns early; the covariance estimates ``w @ w.T`` take that path.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"matrix of shape {a.shape} is not square")
+    if np.array_equal(a, a.T):
+        return a
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if not np.allclose(a, a.T, atol=rtol * max(scale, 1e-300), rtol=0.0):
         raise NotSymmetric("matrix is not symmetric")
@@ -84,13 +79,6 @@ def spectral_decomp(a: np.ndarray) -> SpectralDecomp:
     w, u = np.linalg.eigh(a)
     order = np.argsort(w)[::-1]
     return SpectralDecomp(eigenvalues=w[order], eigenvectors=u[:, order])
-
-
-def svd(a: np.ndarray) -> Svd:
-    """Full SVD of a rectangular matrix, singular values descending."""
-    a = _as_matrix(a)
-    u, s, vt = np.linalg.svd(a, full_matrices=True)
-    return Svd(u=u, singular_values=s, vt=vt)
 
 
 def matrix_norms(a: np.ndarray) -> MatrixNorms:

@@ -1,4 +1,5 @@
-"""Privacy parameters, the size planner, and the propose-test-release gate.
+"""Privacy parameters, the size planner, and the propose-test-release gate's
+noise law and thresholds (the gate itself is ``samplers.ptr_check``).
 
 All logarithms are natural unless a caller overrides ``log_base`` on the
 planner; the gate itself always uses natural logs.
@@ -13,7 +14,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .exceptions import InvalidParams, NoConvergence, PreconditionViolated
-from .randomness import RngStream
 
 E_SQ = math.e**2
 
@@ -218,28 +218,3 @@ def gate_leakage(params: PrivacyParams) -> float:
     """
     t = pass_threshold(params)
     return math.expm1(params.epsilon) / (2.0 * math.expm1(params.epsilon * t / 2.0))
-
-
-def ptr_check(score: float, params: PrivacyParams, rng: RngStream) -> PtrOutcome:
-    """Noisy threshold test on a sensitivity-2 instability score.
-
-    Pass iff score + eta < ln(1/delta)/epsilon + 2 with eta truncated
-    Laplace noise (scale 2/epsilon, support +-(ln(1/delta)/epsilon + 2)).
-    Score 0 always passes; scores at or beyond 2 ln(1/delta)/epsilon + 4
-    always fail; in between both outcomes have positive probability.
-    """
-    if not np.isfinite(score) or score < 0.0:
-        raise PreconditionViolated(f"score must be finite and >= 0, got {score}")
-    threshold = pass_threshold(params)
-    eta = truncated_laplace(rng.generator(), 2.0 / params.epsilon, threshold)
-    return PtrOutcome.PASS if score + eta < threshold else PtrOutcome.FAIL
-
-
-def ptr_pass_mask(
-    scores: np.ndarray, params: PrivacyParams, gen: np.random.Generator
-) -> np.ndarray:
-    """Vectorized gate outcomes (True = pass) for Monte Carlo audits."""
-    scores = np.asarray(scores, dtype=float)
-    threshold = pass_threshold(params)
-    eta = truncated_laplace(gen, 2.0 / params.epsilon, threshold, size=scores.size)
-    return (scores.reshape(-1) + eta) < threshold

@@ -5,6 +5,8 @@ describing an independent PCG64 stream keyed by ``(seed, stream_id)``.
 Streams are value-like: building the generator twice from the same stream
 replays the same draws, which is what lets adjacent sampler executions share
 their random choices (same subset R, same sphere point, same PTR noise).
+``RngStream.generator()`` is the only way from a stream to draws; the
+helpers below take the open generator.
 """
 
 from __future__ import annotations
@@ -40,31 +42,10 @@ class RngStream:
         return RngStream(self.seed, (self.stream_id << 20) + offset + 1)
 
 
-def gaussian_vector(rng: RngStream, mean: np.ndarray, cov_sqrt: np.ndarray) -> np.ndarray:
-    """One draw of ``mean + cov_sqrt @ g`` with g standard normal.
-
-    cov_sqrt is any matrix square root factor: the result has covariance
-    ``cov_sqrt @ cov_sqrt.T``.
-    """
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov_sqrt = np.asarray(cov_sqrt, dtype=float)
-    if cov_sqrt.ndim != 2 or cov_sqrt.shape[0] != mean.shape[0]:
-        raise PreconditionViolated(
-            f"cov_sqrt shape {cov_sqrt.shape} incompatible with mean of length {mean.shape[0]}"
-        )
-    g = rng.generator().standard_normal(cov_sqrt.shape[1])
-    return mean + cov_sqrt @ g
-
-
-def unit_sphere(rng: RngStream, n: int) -> np.ndarray:
+def sphere_point(gen: np.random.Generator, n: int) -> np.ndarray:
     """Uniform point on the unit sphere in R^n (normalized Gaussian)."""
     if n < 1:
         raise PreconditionViolated("n must be >= 1")
-    return sphere_point(rng.generator(), n)
-
-
-def sphere_point(gen: np.random.Generator, n: int) -> np.ndarray:
-    """Uniform sphere point from an already-open generator."""
     while True:
         g = gen.standard_normal(n)
         norm = np.linalg.norm(g)
@@ -84,16 +65,12 @@ def sphere_batch(gen: np.random.Generator, n: int, count: int) -> np.ndarray:
     return g / norms[:, None]
 
 
-def uniform_subset(rng: RngStream, n: int, m: int) -> np.ndarray:
+def subset_indices(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
     """Sorted array of m distinct indices drawn uniformly from range(n).
 
     Exact-uniform over all size-m subsets (partial Fisher-Yates underneath).
     Indices are 0-based.
     """
-    return subset_indices(rng.generator(), n, m)
-
-
-def subset_indices(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
     if n < 0 or m < 0:
         raise PreconditionViolated("n and m must be nonnegative")
     if m > n:

@@ -1,9 +1,11 @@
 """Differentially private Gaussian sampling pipelines.
 
-Three entry points share the same skeleton: estimate covariance and mean
-with the stability-scored estimators, gate the worst score through the
-noisy threshold test at budget (eps/3, delta/6), and only on Pass release
-an output whose randomness rides on the estimated covariance factor.
+Three entry points share one skeleton, ``_run``: estimate covariance and
+mean with the stability-scored estimators, gate the worst score through
+the noisy threshold test ``ptr_check`` at budget (eps/3, delta/6), and
+only on Pass release an output whose randomness rides on the estimated
+covariance factor. Each entry point only validates its input, splits it
+into blocks and supplies its release noise.
 
 Every pipeline consumes its RngStream through a single generator in a fixed
 order (reference subset, gate noise, then output randomness), so running
@@ -14,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .estimators import EstimatorConfig, stable_cov, stable_mean
-from .exceptions import NonFiniteInput, ShapeMismatch, SubsetTooLarge
+from .exceptions import NonFiniteInput, PreconditionViolated, ShapeMismatch, SubsetTooLarge
 from .linalg import sym_sqrt
 from .privacy import (
     PrivacyParams,
@@ -76,18 +78,62 @@ class RunTrace:
         }
 
 
-def _check_finite(x: np.ndarray) -> None:
-    # Runs before the stream is touched, so a rejected call consumes no
-    # randomness and a NaN or inf can never reach the gate or the release.
-    if not np.isfinite(x).all():
-        raise NonFiniteInput("dataset holds a NaN or infinite entry")
+def ptr_check(score: float, params: PrivacyParams, gen: np.random.Generator) -> PtrOutcome:
+    """Noisy threshold test on a sensitivity-2 instability score.
 
-
-def _gate(score: float, params: PrivacyParams, gen: np.random.Generator) -> PtrOutcome:
-    gate_params = params.split(GATE_EPS_FRAC, GATE_DELTA_FRAC)
-    threshold = pass_threshold(gate_params)
-    eta = truncated_laplace(gen, 2.0 / gate_params.epsilon, threshold)
+    Pass iff score + eta < ln(1/delta)/epsilon + 2 with eta truncated
+    Laplace noise (scale 2/epsilon, support +-(ln(1/delta)/epsilon + 2))
+    drawn from gen. Score 0 always passes; scores at or beyond
+    2 ln(1/delta)/epsilon + 4 always fail; in between both outcomes have
+    positive probability. The pipelines call it with their budget's
+    (GATE_EPS_FRAC, GATE_DELTA_FRAC) share.
+    """
+    if not np.isfinite(score) or score < 0.0:
+        raise PreconditionViolated(f"score must be finite and >= 0, got {score}")
+    threshold = pass_threshold(params)
+    eta = truncated_laplace(gen, 2.0 / params.epsilon, threshold)
     return PtrOutcome.PASS if score + eta < threshold else PtrOutcome.FAIL
+
+
+def _run(
+    mean_block: np.ndarray, cov_block: np.ndarray | None, cfg: EstimatorConfig,
+    params: PrivacyParams, ref_size: int, sizes: dict[str, Any],
+    noise: Callable[..., np.ndarray], rng: RngStream,
+) -> tuple[SampleResult, RunTrace]:
+    """The skeleton every pipeline runs once its input is validated.
+
+    Non-finite blocks are rejected before the stream is touched, so a
+    rejected call consumes no randomness. cov_block None means the identity
+    covariance. On Pass the output is mu_hat plus
+    ``noise(gen, cov_out, sigma_hat)``, drawn after the gate's noise.
+    """
+    for block in (mean_block, cov_block):
+        if block is not None and not np.isfinite(block).all():
+            raise NonFiniteInput("dataset holds a NaN or infinite entry")
+    gen = rng.generator()
+    ref = subset_indices(gen, mean_block.shape[0], ref_size)
+    if cov_block is None:
+        cov_out, sigma_hat = None, np.eye(mean_block.shape[1])
+    else:
+        cov_out = stable_cov(cov_block, cfg)
+        sigma_hat = cov_out.covariance()
+    mean_out = stable_mean(mean_block, sigma_hat, cfg, ref)
+    mu_hat = mean_out.weights @ mean_block
+
+    score = mean_out.score if cov_out is None else max(cov_out.score, mean_out.score)
+    outcome = ptr_check(score, params.split(GATE_EPS_FRAC, GATE_DELTA_FRAC), gen)
+    trace = RunTrace(
+        score_cov=None if cov_out is None else cov_out.score,
+        score_mean=mean_out.score,
+        ptr=outcome,
+        cov_uniform=None if cov_out is None else bool(np.all(cov_out.counts == cfg.k)),
+        mean_uniform=bool(np.all(mean_out.counts == cfg.k)),
+        reference_set=ref,
+        sizes=sizes,
+    )
+    if outcome is PtrOutcome.FAIL:
+        return SampleResult(None), trace
+    return SampleResult(mu_hat + noise(gen, cov_out, sigma_hat)), trace
 
 
 def sample_unbounded(
@@ -104,33 +150,15 @@ def sample_unbounded(
     x = np.asarray(x, dtype=float)
     if x.shape != (plan.n, plan.d):
         raise ShapeMismatch(f"dataset shape {x.shape} does not match plan {(plan.n, plan.d)}")
-    _check_finite(x)
-    gen = rng.generator()
-    ref = subset_indices(gen, plan.n1, plan.ref_size)
-
-    cfg = EstimatorConfig(plan.lambda0, plan.k)
-    cov_out = stable_cov(x[plan.n1 :], cfg)
-    sigma_hat = cov_out.covariance()
-    mean_out = stable_mean(x[: plan.n1], sigma_hat, cfg, ref)
-    mu_hat = mean_out.weights @ x[: plan.n1]
-
-    outcome = _gate(max(cov_out.score, mean_out.score), plan.params, gen)
-    trace = RunTrace(
-        score_cov=cov_out.score,
-        score_mean=mean_out.score,
-        ptr=outcome,
-        cov_uniform=bool(np.all(cov_out.counts == plan.k)),
-        mean_uniform=bool(np.all(mean_out.counts == plan.k)),
-        reference_set=ref,
-        sizes={"n": plan.n, "n1": plan.n1, "n2": plan.n2, "k": plan.k,
-               "ref_size": plan.ref_size, "lambda0": plan.lambda0},
-    )
-    if outcome is PtrOutcome.FAIL:
-        return SampleResult(None), trace
-    z = sphere_point(gen, plan.n2)
     scale = math.sqrt((1.0 - 1.0 / plan.n1) * plan.n2)
-    value = mu_hat + scale * (cov_out.w_matrix @ z)
-    return SampleResult(value), trace
+    sizes = {"n": plan.n, "n1": plan.n1, "n2": plan.n2, "k": plan.k,
+             "ref_size": plan.ref_size, "lambda0": plan.lambda0}
+    return _run(
+        x[: plan.n1], x[plan.n1 :], EstimatorConfig(plan.lambda0, plan.k), plan.params,
+        plan.ref_size, sizes,
+        lambda gen, cov_out, _: scale * (cov_out.w_matrix @ sphere_point(gen, plan.n2)),
+        rng,
+    )
 
 
 def cov_aware_mean(
@@ -169,32 +197,15 @@ def cov_aware_mean(
         raise SubsetTooLarge(
             f"reference size {m_ref} exceeds the {mean_block.shape[0]}-row mean block"
         )
-    _check_finite(x)
-
-    gen = rng.generator()
-    ref = subset_indices(gen, mean_block.shape[0], m_ref)
     cfg = EstimatorConfig(lambda0, k)
-    cov_out = stable_cov(cov_block, cfg)
-    sigma_hat = cov_out.covariance()
-    mean_out = stable_mean(mean_block, sigma_hat, cfg, ref)
-    mu_hat = mean_out.weights @ mean_block
-
-    outcome = _gate(max(cov_out.score, mean_out.score), params, gen)
     c_sq = noise_multiplier_sq(lambda0, params, n)
-    trace = RunTrace(
-        score_cov=cov_out.score,
-        score_mean=mean_out.score,
-        ptr=outcome,
-        cov_uniform=bool(np.all(cov_out.counts == k)),
-        mean_uniform=bool(np.all(mean_out.counts == k)),
-        reference_set=ref,
-        sizes={"n": n, "k": k, "ref_size": m_ref, "lambda0": lambda0, "c_sq": c_sq},
+    sizes = {"n": n, "k": k, "ref_size": m_ref, "lambda0": lambda0, "c_sq": c_sq}
+    c = math.sqrt(c_sq)
+    return _run(
+        mean_block, cov_block, cfg, params, m_ref, sizes,
+        lambda gen, _, sigma_hat: c * (sym_sqrt(sigma_hat) @ gen.standard_normal(x.shape[1])),
+        rng,
     )
-    if outcome is PtrOutcome.FAIL:
-        return SampleResult(None), trace
-    g = gen.standard_normal(x.shape[1])
-    value = mu_hat + math.sqrt(c_sq) * (sym_sqrt(sigma_hat) @ g)
-    return SampleResult(value), trace
 
 
 def sample_known_cov(
@@ -210,26 +221,9 @@ def sample_known_cov(
     x = np.asarray(x, dtype=float)
     if x.shape != (plan.n1, plan.d):
         raise ShapeMismatch(f"dataset shape {x.shape} does not match plan {(plan.n1, plan.d)}")
-    _check_finite(x)
-    gen = rng.generator()
-    ref = subset_indices(gen, plan.n1, plan.ref_size)
-    cfg = EstimatorConfig(plan.lambda0, plan.k)
-    mean_out = stable_mean(x, np.eye(plan.d), cfg, ref)
-    mu_hat = mean_out.weights @ x
-
-    outcome = _gate(mean_out.score, plan.params, gen)
-    trace = RunTrace(
-        score_cov=None,
-        score_mean=mean_out.score,
-        ptr=outcome,
-        cov_uniform=None,
-        mean_uniform=bool(np.all(mean_out.counts == plan.k)),
-        reference_set=ref,
-        sizes={"n1": plan.n1, "k": plan.k, "ref_size": plan.ref_size,
-               "lambda0": plan.lambda0},
+    sizes = {"n1": plan.n1, "k": plan.k, "ref_size": plan.ref_size, "lambda0": plan.lambda0}
+    return _run(
+        x, None, EstimatorConfig(plan.lambda0, plan.k), plan.params, plan.ref_size, sizes,
+        lambda gen, _, __: math.sqrt(1.0 - 1.0 / plan.n1) * gen.standard_normal(plan.d),
+        rng,
     )
-    if outcome is PtrOutcome.FAIL:
-        return SampleResult(None), trace
-    g = gen.standard_normal(plan.d)
-    value = mu_hat + math.sqrt(1.0 - 1.0 / plan.n1) * g
-    return SampleResult(value), trace

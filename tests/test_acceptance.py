@@ -29,8 +29,9 @@ from dpgs.audit import (
 )
 from dpgs.cli import main
 from dpgs.divergences import gaussian_1d, hockey_stick_1d, hs_discrete, weak_triangle_check
-from dpgs.privacy import PrivacyParams, PtrOutcome, ptr_check
+from dpgs.privacy import PrivacyParams, PtrOutcome
 from dpgs.randomness import RngStream
+from dpgs.samplers import ptr_check
 
 SEED = 7
 
@@ -49,9 +50,11 @@ def test_criterion_01_ptr_extremes_exact():
         delta = float(gen.uniform(1e-8, eps / 10.0))
         params = PrivacyParams(eps, delta)
         fail_score = 2.0 * math.log(1.0 / delta) / eps + 4.0
-        if ptr_check(0.0, params, RngStream(SEED, 102).child(i)) is not PtrOutcome.PASS:
+        pass_gen = RngStream(SEED, 102).child(i).generator()
+        fail_gen = RngStream(SEED, 103).child(i).generator()
+        if ptr_check(0.0, params, pass_gen) is not PtrOutcome.PASS:
             bad += 1
-        if ptr_check(fail_score, params, RngStream(SEED, 103).child(i)) is not PtrOutcome.FAIL:
+        if ptr_check(fail_score, params, fail_gen) is not PtrOutcome.FAIL:
             bad += 1
     elapsed = time.perf_counter() - t0
     _line(1, bad == 0 and elapsed < 1.0,

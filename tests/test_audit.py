@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dpgs.audit as audit_mod
 from dpgs.audit import (
+    END_TO_END_MIN_TRIALS,
     AdjacentPair,
     AuditReport,
     GridSpec,
@@ -245,6 +247,14 @@ class TestEndToEnd:
         )
         assert rep.verdict == "fail"
         assert rep.statistics["insufficient_outputs_s0"] == 1.0
+
+    def test_too_few_trials_rejected_before_any_run(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a pipeline ran")
+
+        monkeypatch.setattr(audit_mod, "sample_unbounded", never)
+        with pytest.raises(PreconditionViolated, match=f"at least {END_TO_END_MIN_TRIALS} "):
+            audit_end_to_end(STRICT1, END_TO_END_MIN_TRIALS - 1, RngStream(7, 15))
 
     def test_rejects_multivariate_plan(self):
         with pytest.raises(PreconditionViolated):

@@ -9,7 +9,7 @@ import pytest
 
 import dpgs.audit as audit_mod
 import dpgs.cli as cli_mod
-from dpgs.audit import AuditReport
+from dpgs.audit import END_TO_END_MIN_TRIALS, AuditReport
 from dpgs.cli import main
 
 
@@ -242,6 +242,11 @@ class TestAudit:
             main(["audit", "--check", "density_lemmas", "--threads", str(threads)])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    def test_end_to_end_below_minimum_trials_exits_two(self, capsys):
+        code, _, err = run_cli(capsys, "audit", "--check", "end_to_end", "--trials", "40")
+        assert code == 2
+        assert f"at least {END_TO_END_MIN_TRIALS} trials" in err
 
     def test_failing_verdict_exits_one(self, capsys, monkeypatch):
         def fake(trials, mode, seed, threads):

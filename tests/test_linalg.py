@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from dpgs.exceptions import DimensionMismatch, NotPD, NotSymmetric
 from dpgs.linalg import (
+    check_symmetric,
     inverse_tracenorm_gap,
     mahalanobis_sq,
     matrix_norms,
     psd_sandwich_check,
     spectral_decomp,
-    svd,
     sym_inv_sqrt,
     sym_sqrt,
 )
@@ -42,15 +42,70 @@ def test_spectral_decomp_rejects_asymmetric():
         spectral_decomp(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_svd_reconstructs_rectangular():
-    rng = np.random.default_rng(8)
-    for shape in ((3, 5), (5, 3), (4, 4), (1, 6)):
-        a = rng.standard_normal(shape)
-        f = svd(a)
-        s = np.zeros(shape)
-        np.fill_diagonal(s, f.singular_values)
-        assert np.allclose(f.u @ s @ f.vt, a, atol=1e-12)
-        assert np.all(np.diff(f.singular_values) <= 0)
+def tolerance_verdict(a, rtol=1e-9):
+    """check_symmetric's tolerance test alone, without its exact-equality
+    shortcut: entries within rtol times the largest |entry| of the transpose."""
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    return bool(np.allclose(a, a.T, atol=rtol * max(scale, 1e-300), rtol=0.0))
+
+
+def is_symmetric(a):
+    try:
+        check_symmetric(a)
+    except NotSymmetric:
+        return False
+    return True
+
+
+NAN, INF = np.nan, np.inf
+
+
+# allclose warns when the yardstick is infinite; the verdict is still defined
+inf_yardstick = pytest.mark.filterwarnings("ignore:One of rtol or atol:RuntimeWarning")
+
+
+@inf_yardstick
+@pytest.mark.parametrize(
+    "a, want",
+    [
+        ([[NAN, 0.0], [0.0, 1.0]], False),  # NaN on the diagonal
+        ([[1.0, NAN], [NAN, 1.0]], False),  # NaN placed symmetrically
+        ([[INF, -INF], [-INF, 1.0]], True),  # symmetric infinities
+        ([[1.0, 1.0 + 1e-12], [1.0, 1.0]], True),  # within the tolerance
+        ([[1e6, 1e6 + 1e-4], [1e6, 1e6]], True),  # tolerance scales with the entries
+        ([[1.0, 1.0 + 1e-6], [1.0, 1.0]], False),  # beyond it
+        ([[2.0]], True),
+        (np.zeros((0, 0)), True),
+    ],
+)
+def test_check_symmetric_verdicts(a, want):
+    a = np.asarray(a, dtype=float)
+    assert is_symmetric(a) is want
+    assert tolerance_verdict(a) is want
+
+
+def test_check_symmetric_rejects_non_square():
+    with pytest.raises(NotSymmetric):
+        check_symmetric(np.zeros((2, 3)))
+
+
+@inf_yardstick
+def test_check_symmetric_shortcut_keeps_the_tolerance_verdict():
+    rng = np.random.default_rng(31)
+    for trial in range(400):
+        d = int(rng.integers(1, 6))
+        a = random_symmetric(rng, d) * 10.0 ** rng.integers(-100, 100)
+        i, j = rng.integers(0, d, size=2)
+        kind = trial % 4
+        if kind == 1:
+            a[i, j] = a[j, i] = rng.choice([NAN, INF, -INF])
+        elif kind == 2:
+            a[i, j] *= 1.0 + rng.choice([1e-13, 1e-10, 1e-8, 1e-6])
+        elif kind == 3:
+            a[i, j] = rng.choice([NAN, INF])
+        assert is_symmetric(a) is tolerance_verdict(a), (trial, a)
+    w = rng.standard_normal((5, 40))
+    assert np.array_equal(check_symmetric(w @ w.T), w @ w.T)
 
 
 def test_matrix_norms_from_singular_values():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgs.exceptions import InvalidParams
+from dpgs.exceptions import InvalidParams, PreconditionViolated
 from dpgs.privacy import (
     PrivacyParams,
     PtrOutcome,
@@ -16,12 +16,11 @@ from dpgs.privacy import (
     outlier_threshold,
     pass_threshold,
     plan,
-    ptr_check,
-    ptr_pass_mask,
     reference_size,
     truncated_laplace,
 )
 from dpgs.randomness import RngStream
+from dpgs.samplers import ptr_check
 
 valid_params = st.tuples(
     st.floats(min_value=1e-3, max_value=1.0),
@@ -186,16 +185,24 @@ def test_truncated_laplace_tail_mass_matches():
 @settings(max_examples=300, deadline=None)
 def test_ptr_extremes_are_deterministic(p):
     rng = RngStream(12345)
-    assert ptr_check(0.0, p, rng) is PtrOutcome.PASS
-    assert ptr_check(fail_threshold(p), p, rng) is PtrOutcome.FAIL
-    assert ptr_check(fail_threshold(p) + 5.0, p, rng) is PtrOutcome.FAIL
+    assert ptr_check(0.0, p, rng.generator()) is PtrOutcome.PASS
+    assert ptr_check(fail_threshold(p), p, rng.generator()) is PtrOutcome.FAIL
+    assert ptr_check(fail_threshold(p) + 5.0, p, rng.generator()) is PtrOutcome.FAIL
+
+
+def pass_mask(scores, p, gen):
+    """Reference gate outcomes (True = pass) for a batch of scores: one
+    truncated-Laplace draw per score, pass iff score + eta < threshold."""
+    threshold = pass_threshold(p)
+    eta = truncated_laplace(gen, 2.0 / p.epsilon, threshold, size=scores.size)
+    return scores + eta < threshold
 
 
 def test_ptr_midpoint_rate_near_half():
     p = PrivacyParams(1.0, 0.05)
     gen = np.random.default_rng(8080)
     mid = pass_threshold(p)
-    passes = ptr_pass_mask(np.full(20_000, mid), p, gen)
+    passes = pass_mask(np.full(20_000, mid), p, gen)
     rate = passes.mean()
     assert 0.47 <= rate <= 0.53
 
@@ -204,7 +211,7 @@ def test_ptr_monotone_in_score_for_fixed_noise():
     p = PrivacyParams(0.7, 0.03)
     scores = np.linspace(0.0, fail_threshold(p), 25)
     for seed in range(20):
-        outcomes = [ptr_check(s, p, RngStream(seed)) for s in scores]
+        outcomes = [ptr_check(s, p, RngStream(seed).generator()) for s in scores]
         flags = [o is PtrOutcome.PASS for o in outcomes]
         # once it fails it stays failed as the score grows
         assert flags == sorted(flags, reverse=True)
@@ -213,8 +220,8 @@ def test_ptr_monotone_in_score_for_fixed_noise():
 def _gate_gap_stats(p, s, trials, gen):
     """Both one-sided empirical gaps for the score pair (s, s + 2)."""
     e = math.exp(p.epsilon)
-    pa = ptr_pass_mask(np.full(trials, s), p, gen).mean()
-    pb = ptr_pass_mask(np.full(trials, s + 2.0), p, gen).mean()
+    pa = pass_mask(np.full(trials, s), p, gen).mean()
+    pb = pass_mask(np.full(trials, s + 2.0), p, gen).mean()
     sigma = math.sqrt(pa * (1 - pa) / trials) + e * math.sqrt(pb * (1 - pb) / trials)
     return pa - e * pb, (1 - pb) - e * (1 - pa), max(sigma, 1e-9)
 
@@ -258,9 +265,21 @@ def test_ptr_leakage_is_exact_and_unavoidable():
 
 
 def test_ptr_pass_mask_matches_scalar_path():
+    # the scalar gate, called once per score on one generator, makes the
+    # same draws as the batch reference on a generator of the same stream
     p = PrivacyParams(0.5, 0.02)
-    scores = np.array([0.0, 1.0, 5.0, 100.0])
-    gen = np.random.default_rng(4)
-    mask = ptr_pass_mask(scores, p, gen)
-    assert mask.dtype == bool and mask.shape == scores.shape
-    assert mask[0] and not mask[-1]
+    scores = np.linspace(0.0, fail_threshold(p) + 1.0, 400)
+    for seed in range(5):
+        gen = RngStream(seed).generator()
+        scalar = [ptr_check(s, p, gen) is PtrOutcome.PASS for s in scores]
+        mask = pass_mask(scores, p, RngStream(seed).generator())
+        assert mask.dtype == bool and mask.shape == scores.shape
+        assert scalar == mask.tolist()
+        assert mask[0] and not mask[-1]
+        assert 0 < mask.sum() < scores.size
+
+
+@pytest.mark.parametrize("score", [-1.0, np.nan, np.inf])
+def test_ptr_check_rejects_bad_score(score):
+    with pytest.raises(PreconditionViolated):
+        ptr_check(score, PrivacyParams(0.5, 0.02), RngStream(0).generator())

@@ -2,30 +2,23 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dpgs.exceptions import SubsetTooLarge
-from dpgs.randomness import (
-    RngStream,
-    gaussian_vector,
-    sphere_batch,
-    subset_indices,
-    uniform_subset,
-    unit_sphere,
-)
+from dpgs.exceptions import PreconditionViolated, SubsetTooLarge
+from dpgs.randomness import RngStream, sphere_batch, sphere_point, subset_indices
 
 
 def test_same_stream_reproduces():
-    a = unit_sphere(RngStream(42, 3), 7)
-    b = unit_sphere(RngStream(42, 3), 7)
+    a = sphere_point(RngStream(42, 3).generator(), 7)
+    b = sphere_point(RngStream(42, 3).generator(), 7)
     assert np.array_equal(a, b)
-    ga = gaussian_vector(RngStream(1, 0), np.zeros(2), np.eye(2))
-    gb = gaussian_vector(RngStream(1, 0), np.zeros(2), np.eye(2))
+    ga = RngStream(1, 0).generator().standard_normal(2)
+    gb = RngStream(1, 0).generator().standard_normal(2)
     assert np.array_equal(ga, gb)
 
 
 def test_distinct_streams_differ():
-    a = unit_sphere(RngStream(42, 0), 7)
-    b = unit_sphere(RngStream(42, 1), 7)
-    c = unit_sphere(RngStream(43, 0), 7)
+    a = sphere_point(RngStream(42, 0).generator(), 7)
+    b = sphere_point(RngStream(42, 1).generator(), 7)
+    c = sphere_point(RngStream(43, 0).generator(), 7)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -39,15 +32,23 @@ def test_child_streams_are_disjoint():
 
 def test_unit_sphere_has_unit_norm():
     for n in (1, 2, 3, 10, 100):
-        v = unit_sphere(RngStream(0, n), n)
+        v = sphere_point(RngStream(0, n).generator(), n)
         assert v.shape == (n,)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unit_sphere_dim_one_is_sign():
-    vals = {float(unit_sphere(RngStream(0, i), 1)[0]) for i in range(40)}
+    vals = {float(sphere_point(RngStream(0, i).generator(), 1)[0]) for i in range(40)}
     assert vals <= {-1.0, 1.0}
     assert len(vals) == 2
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_sphere_point_rejects_empty_dimension(n):
+    # standard_normal(0) has norm 0, so without the guard the resample loop
+    # would never return
+    with pytest.raises(PreconditionViolated):
+        sphere_point(np.random.default_rng(0), n)
 
 
 def test_sphere_first_coordinate_uniform_in_dim_three():
@@ -59,38 +60,21 @@ def test_sphere_first_coordinate_uniform_in_dim_three():
     assert ks.statistic <= 0.01
 
 
-def test_gaussian_vector_moments():
-    mean = np.array([1.0, -2.0])
-    cov_sqrt = np.array([[2.0, 0.0], [0.0, 1.0]])
-    draws = np.array(
-        [gaussian_vector(RngStream(77, i), mean, cov_sqrt) for i in range(20_000)]
-    )
-    assert np.allclose(draws.mean(axis=0), mean, atol=0.05)
-    emp = np.cov(draws.T)
-    assert np.allclose(emp, np.diag([4.0, 1.0]), atol=0.12)
-
-
-def test_gaussian_vector_sample_mean_clt():
-    n = 100_000
-    draws = np.array([gaussian_vector(RngStream(3, i), np.zeros(1), np.eye(1))[0] for i in range(n)])
-    assert abs(draws.mean()) <= 4.0 / np.sqrt(n)
-
-
 def test_uniform_subset_sorted_distinct_in_range():
     for i in range(30):
-        s = uniform_subset(RngStream(9, i), 50, 12)
+        s = subset_indices(RngStream(9, i).generator(), 50, 12)
         assert s.shape == (12,)
         assert np.all(np.diff(s) > 0)
         assert s.min() >= 0 and s.max() < 50
 
 
 def test_uniform_subset_full_set():
-    assert np.array_equal(uniform_subset(RngStream(1, 1), 3, 3), np.arange(3))
+    assert np.array_equal(subset_indices(RngStream(1, 1).generator(), 3, 3), np.arange(3))
 
 
 def test_uniform_subset_too_large():
     with pytest.raises(SubsetTooLarge):
-        uniform_subset(RngStream(0), 4, 5)
+        subset_indices(RngStream(0).generator(), 4, 5)
 
 
 def test_subset_indices_frequencies():

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from dpgs.estimators import EstimatorConfig, stable_cov, stable_mean
-from dpgs.exceptions import NonFiniteInput, ShapeMismatch, SubsetTooLarge
+from dpgs.exceptions import NonFiniteInput, PreconditionViolated, ShapeMismatch, SubsetTooLarge
 from dpgs.linalg import sym_sqrt
 from dpgs.privacy import PrivacyParams, PtrOutcome, plan
 from dpgs.randomness import RngStream
@@ -56,6 +56,14 @@ def test_non_finite_input_rejected_before_any_draw(bad):
     xk[mean_row, 0] = bad
     with pytest.raises(NonFiniteInput):
         sample_known_cov(xk, PLAN2, UntouchedStream(0))
+
+
+@pytest.mark.parametrize("lambda0", [0.5, np.nan])
+def test_bad_lambda0_rejected_before_any_draw(lambda0):
+    x = gaussian_data(np.random.default_rng(98), PLAN2.n, [1.0, 2.0], np.eye(2))
+    for split_n1 in (None, PLAN2.n1):
+        with pytest.raises(PreconditionViolated, match="lambda0 must be >= 1"):
+            cov_aware_mean(x, PLAN2.params, lambda0, UntouchedStream(0), split_n1=split_n1)
 
 
 def test_unbounded_deterministic_replay():
