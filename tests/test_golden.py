@@ -9,7 +9,8 @@ prunes on many rungs and the gate both passes and fails across the seeds.
 A second digest per case hashes each call's whole run trace, as sorted-key
 JSON: the reference set, the sizes and the uniformity flags as well.
 The audit case hashes the JSON lines of three run_checks checks that run
-both estimators and the pipelines, at small trial counts.
+both estimators and the pipelines, at small trial counts. A second audit
+case hashes every registry check on its own, in both modes.
 A change that moves any of these bytes must say which bytes and why, and
 only then update a digest.
 """
@@ -140,3 +141,39 @@ def test_audit_reports_match_golden():
         for name, trials in AUDIT_TRIALS.items()
     )
     assert hashlib.sha256(lines.encode()).hexdigest() == AUDIT_GOLDEN
+
+
+CHECK_TRIALS = {
+    "score_sensitivity": 24,
+    "cov_stability": 12,
+    "mean_stability": 12,
+    "utility_events": 8,
+    "density_lemmas": None,
+    "matrix_bounds": 12,
+    "tail_facts": 10_000,
+    "end_to_end": 60,
+}
+CHECK_GOLDEN = {
+    ("score_sensitivity", "relaxed"): "e95717b20bdd5a9b1817f7f9437cfcb621ada9fc80b574457b293c964384f117",
+    ("score_sensitivity", "strict"): "3e14bed4913a6824aef77d408c53a54ddecdfe27b3b7ecd518d691bad575622c",
+    ("cov_stability", "relaxed"): "a472c64f8f7acac55992671b9b76e747016b207f7e20e9e439905b6e482ea981",
+    ("cov_stability", "strict"): "efb0c168d66c41e7e0257fbc54ba9ddf7ada384bb0d27a094daa094e37484974",
+    ("mean_stability", "relaxed"): "066d01a0e6c9efb646567e129640b80f05f70011c9e80355a3df470014eea8a0",
+    ("mean_stability", "strict"): "8f0110f687e627d5de36ba5133bc42db63376b8edecaaa5da268fe9c0b754280",
+    ("utility_events", "relaxed"): "7abc97eb9abd9b9cd1db5688ddbb50e42932ed99d0b0d7a47f6a8586f420a661",
+    ("utility_events", "strict"): "2f3c8e34176fd3b8ce9e9456e1b4f9c7f05231ac0f0d7ce7e2daf281d31662ef",
+    ("density_lemmas", "relaxed"): "017ad6a4412726f334a28b5c99df81f35edf04ca2135d0178d041aeda4a620cb",
+    ("density_lemmas", "strict"): "446d95a0004f05a8399ded35802ff143cf652f84fefad23f64f0fc66857f783c",
+    ("matrix_bounds", "relaxed"): "c6e05632ae4a727178dc1937c2fa08e5676025af08d2456032a9804a836b5ed0",
+    ("matrix_bounds", "strict"): "8b3acaad7311cb102df1c924875a2402d6fd195563417d08439c900bfd7a6171",
+    ("tail_facts", "relaxed"): "27394ec2b8fff86aeda3f28b377f8afba31b62370557fdf99392ef0fe15eec5f",
+    ("tail_facts", "strict"): "106c302b004413f321696c7414ca50fc7fed3c66c065cf42e886f59ba2254297",
+    ("end_to_end", "relaxed"): "72a1f4e2b2c8f1ebc2a1b031c5cf2b7763858ebbcfbbf2b1e3afcfbcb44f11fb",
+    ("end_to_end", "strict"): "9c0ba72016ce12f51ba3f8ee232ff024ed94c7d1c0afb454e6189c381d4cd652",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(CHECK_GOLDEN))
+def test_each_check_matches_golden(name, mode):
+    lines = reports_to_json_lines(run_checks((name,), mode=mode, trials=CHECK_TRIALS[name]))
+    assert hashlib.sha256(lines.encode()).hexdigest() == CHECK_GOLDEN[(name, mode)]
