@@ -9,7 +9,6 @@ properties the design relies on.
 from .audit import (
     AdjacentPair,
     AuditReport,
-    GridSpec,
     audit_cov_stability,
     audit_density_lemmas,
     audit_end_to_end,
@@ -59,7 +58,6 @@ __all__ = [
     "AdjacentPair",
     "AuditReport",
     "EstimatorConfig",
-    "GridSpec",
     "PrivacyParams",
     "PtrOutcome",
     "RngStream",

@@ -71,6 +71,21 @@ FAR_SCALE = 1.0e6
 # true draws, so fewer trials could never pass
 END_TO_END_MIN_TRIALS = 50
 
+# tail_facts draws this many samples at least: its fixed cutoffs (sphere KS
+# <= 0.02 among them) fail by chance on a share of seeds below it
+TAIL_FACTS_MIN_DRAWS = 10_000
+
+# density_lemmas grids: resolution, slack, and the shared (eps, lambda0)
+GRID_POINTS = 1000
+GRID_TOL = 1e-9
+GRID_EPSILON = 0.5
+GRID_LAMBDA0 = 20.0
+GRID_DIMS = (2, 3)
+SHIFT_DIM = 3
+
+# the privacy level of both plan flavors
+AUDIT_PARAMS = PrivacyParams(1.0, 0.05)
+
 
 @dataclass(frozen=True)
 class AuditReport:
@@ -154,17 +169,18 @@ class AdjacentPair:
         return self.base, other
 
 
-def relaxed_plan(
-    d: int, k: int = 5, params: PrivacyParams = PrivacyParams(1.0, 0.05)
-) -> SamplerPlan:
+def relaxed_plan(d: int) -> SamplerPlan:
     """Smallest plan whose sizes meet the stability-lemma hypotheses.
 
     Keeps the hypothesis shape gamma <= 1/(2k), n1 >= 32 e^2 k,
     n2 >= 16 e^2 lambda0 k and |R| > 6k at desk-scale run times by fixing
-    k and using a flat threshold scale instead of the full planner formulas.
+    k = 5 and using a flat threshold scale instead of the full planner
+    formulas, at AUDIT_PARAMS.
     """
     if d < 1:
         raise PreconditionViolated("d must be >= 1")
+    k = 5
+    params = AUDIT_PARAMS
     lambda0 = 4.0 * d + 40.0
     n2 = math.ceil(16.0 * E_SQ * lambda0 * k)
     n1 = math.ceil(32.0 * E_SQ * k)
@@ -193,27 +209,35 @@ def relaxed_plan(
     )
 
 
-def strict_plan(
-    d: int = 1, alpha: float = 0.2, params: PrivacyParams = PrivacyParams(1.0, 0.05)
-) -> SamplerPlan:
-    """Full-formula plan (the same one the samplers use)."""
-    return plan(alpha, params, d)
-
-
-def plan_for_mode(mode: str, d: int) -> SamplerPlan:
-    if mode == "relaxed":
-        return relaxed_plan(d)
-    if mode == "strict":
-        return strict_plan(d)
-    raise PreconditionViolated(f"mode must be 'relaxed' or 'strict', got {mode!r}")
+def strict_plan(d: int = 1) -> SamplerPlan:
+    """Full-formula plan (the same one the samplers use) at alpha = 0.2."""
+    return plan(0.2, AUDIT_PARAMS, d)
 
 
 def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
     """Run fn(0..trials-1), results in index order regardless of threads."""
+    if trials < 1:
+        raise PreconditionViolated(f"trials must be >= 1, got {trials}")
     if threads <= 1:
         return [fn(i) for i in range(trials)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, range(trials)))
+
+
+def _fold(
+    one: Callable[[int], tuple[bool, bool, object]], trials: int, threads: int
+) -> tuple[int, int, list]:
+    """Run trials returning (qualifies, ok, value) and fold them.
+
+    Returns the qualifying count, the failures (qualifying trials that are
+    not ok) and the qualifying values in trial order.
+    """
+    values, failures = [], 0
+    for qualifies, ok, value in _map_trials(one, trials, threads):
+        if qualifies:
+            values.append(value)
+            failures += 0 if ok else 1
+    return len(values), failures, values
 
 
 _REPLACEMENT_KINDS = ("identical", "fresh", "far", "moderate")
@@ -236,19 +260,36 @@ def _make_replacement(
     raise PreconditionViolated(f"unknown replacement kind {kind!r}")
 
 
-def _split_scores(
-    x: np.ndarray, sp: SamplerPlan, ref: np.ndarray
-) -> tuple[int, object, object]:
-    """Both estimator stages on the sampler's block split, shared reference."""
+def _adjacent_trial(
+    rng: RngStream, i: int, shape: tuple[int, int], lo: int, hi: int
+) -> tuple[np.random.Generator, np.ndarray, np.ndarray, str]:
+    """Trial i's generator and adjacent pair.
+
+    Draws, in order: a scale exp(U[-1, 1]), Gaussian data of the given shape
+    at that scale, the changed row in [lo, hi), then its replacement, of
+    the kind trial i cycles to.
+    """
+    gen = rng.child(i).generator()
+    scale = math.exp(gen.uniform(-1.0, 1.0))
+    x = scale * gen.standard_normal(shape)
+    row = int(gen.integers(lo, hi))
+    kind = _REPLACEMENT_KINDS[i % len(_REPLACEMENT_KINDS)]
+    a, b = AdjacentPair(x, row, _make_replacement(gen, kind, x[row], scale)).datasets()
+    return gen, a, b, kind
+
+
+def _estimate(x: np.ndarray, sp: SamplerPlan, ref: np.ndarray) -> tuple:
+    """Both estimator stages on the sampler's block split, shared reference:
+    (covariance output, its estimate, mean output)."""
     cfg = EstimatorConfig(sp.lambda0, sp.k)
     cov_out = stable_cov(x[sp.n1 :], cfg)
-    mean_out = stable_mean(x[: sp.n1], cov_out.covariance(), cfg, ref)
-    return max(cov_out.score, mean_out.score), cov_out, mean_out
+    sigma_hat = cov_out.covariance()
+    return cov_out, sigma_hat, stable_mean(x[: sp.n1], sigma_hat, cfg, ref)
 
 
 def audit_score_sensitivity(
     trials: int,
-    plans: SamplerPlan | Sequence[SamplerPlan],
+    plans: Sequence[SamplerPlan],
     rng: RngStream,
     mode: str = "relaxed",
     threads: int = 1,
@@ -258,37 +299,34 @@ def audit_score_sensitivity(
     Cycles trials over the given plans and over replacement kinds (identical,
     fresh, far outlier at 1e6 sigma, moderate), always sharing the reference
     subset between the two runs. The bound is exact integer arithmetic, so
-    any excess is a hard failure.
+    any excess is a hard failure, as is any shift at all on an identical
+    replacement (at most one failure per trial).
     """
-    plan_list = [plans] if isinstance(plans, SamplerPlan) else list(plans)
+    plans = list(plans)
 
-    def one(i: int) -> tuple[int, str]:
-        sp = plan_list[i % len(plan_list)]
-        gen = rng.child(i).generator()
-        scale = math.exp(gen.uniform(-1.0, 1.0))
-        x = scale * gen.standard_normal((sp.n, sp.d))
-        row = int(gen.integers(sp.n))
-        kind = _REPLACEMENT_KINDS[i % len(_REPLACEMENT_KINDS)]
-        pair = AdjacentPair(x, row, _make_replacement(gen, kind, x[row], scale))
+    def score(x: np.ndarray, sp: SamplerPlan, ref: np.ndarray) -> int:
+        cov_out, _, mean_out = _estimate(x, sp, ref)
+        return max(cov_out.score, mean_out.score)
+
+    def one(i: int) -> tuple[bool, bool, int]:
+        sp = plans[i % len(plans)]
+        gen, a, b, kind = _adjacent_trial(rng, i, (sp.n, sp.d), 0, sp.n)
         ref = subset_indices(gen, sp.n1, sp.ref_size)
-        a, b = pair.datasets()
-        s_a, _, _ = _split_scores(a, sp, ref)
-        s_b, _, _ = _split_scores(b, sp, ref)
-        return abs(s_a - s_b), kind
+        diff = abs(score(a, sp, ref) - score(b, sp, ref))
+        return True, diff <= 2 and (kind != "identical" or diff == 0), diff
 
-    results = _map_trials(one, trials, threads)
-    diffs = np.array([r[0] for r in results], dtype=float)
-    failures = int(np.sum(diffs > 2))
-    failures += sum(1 for (d_, kind) in results if kind == "identical" and d_ != 0)
+    _, failures, diffs = _fold(one, trials, threads)
+    diffs = np.array(diffs, dtype=float)
+    kinds = [_REPLACEMENT_KINDS[i % len(_REPLACEMENT_KINDS)] for i in range(trials)]
     met = all(
         sp.n1 >= 32.0 * E_SQ * sp.k and sp.n2 >= 16.0 * E_SQ * sp.lambda0 * sp.k
-        for sp in plan_list
+        for sp in plans
     )
     stats_out = {
-        "max_abs_diff": float(diffs.max()) if trials else 0.0,
-        "mean_abs_diff": float(diffs.mean()) if trials else 0.0,
-        "far_trials": float(sum(1 for r in results if r[1] == "far")),
-        "identical_trials": float(sum(1 for r in results if r[1] == "identical")),
+        "max_abs_diff": float(diffs.max()),
+        "mean_abs_diff": float(diffs.mean()),
+        "far_trials": float(kinds.count("far")),
+        "identical_trials": float(kinds.count("identical")),
         "hypothesis_met": 1.0 if met else 0.0,
     }
     return AuditReport(
@@ -333,13 +371,7 @@ def audit_cov_stability(
     hypothesis_met = sp.n2 >= 16.0 * E_SQ * sp.lambda0 * sp.k
 
     def one(i: int) -> tuple[bool, bool, float]:
-        gen = rng.child(i).generator()
-        scale = math.exp(gen.uniform(-1.0, 1.0))
-        x = scale * gen.standard_normal((2 * sp.n2, sp.d))
-        row = int(gen.integers(2 * sp.n2))
-        kind = _REPLACEMENT_KINDS[i % len(_REPLACEMENT_KINDS)]
-        pair = AdjacentPair(x, row, _make_replacement(gen, kind, x[row], scale))
-        a, b = pair.datasets()
+        _, a, b, _ = _adjacent_trial(rng, i, (2 * sp.n2, sp.d), 0, 2 * sp.n2)
         out_a = stable_cov(a, cfg)
         out_b = stable_cov(b, cfg)
         if out_a.score >= sp.k or out_b.score >= sp.k:
@@ -358,10 +390,8 @@ def audit_cov_stability(
             )
         return True, ok, gap
 
-    results = _map_trials(one, trials, threads)
-    qualifying = sum(1 for r in results if r[0])
-    failures = sum(1 for r in results if r[0] and not r[1])
-    gaps = [r[2] for r in results if r[0] and math.isfinite(r[2])]
+    qualifying, failures, gaps = _fold(one, trials, threads)
+    gaps = [g for g in gaps if math.isfinite(g)]
     stats_out = {
         "qualifying": float(qualifying),
         "non_qualifying": float(trials - qualifying),
@@ -422,7 +452,6 @@ def audit_mean_stability(
     """
     gamma = sp.gamma
     bound = (1.0 + 2.0 * gamma) * 38.0 * E_SQ * sp.lambda0 / sp.n1**2
-    cfg = EstimatorConfig(sp.lambda0, sp.k)
     core_lam = E_SQ * sp.lambda0
     hypothesis_met = (
         sp.n1 >= 32.0 * E_SQ * sp.k
@@ -431,25 +460,13 @@ def audit_mean_stability(
     )
 
     def one(i: int) -> tuple[bool, bool, float]:
-        gen = rng.child(i).generator()
-        scale = math.exp(gen.uniform(-1.0, 1.0))
-        x = scale * gen.standard_normal((sp.n, sp.d))
         # alternate the changed block: even trials hit the mean rows (same
         # covariance both runs), odd trials hit the covariance rows
-        if i % 2 == 0:
-            row = int(gen.integers(sp.n1))
-        else:
-            row = int(gen.integers(sp.n1, sp.n))
-        kind = _REPLACEMENT_KINDS[i % len(_REPLACEMENT_KINDS)]
-        pair = AdjacentPair(x, row, _make_replacement(gen, kind, x[row], scale))
+        lo, hi = (0, sp.n1) if i % 2 == 0 else (sp.n1, sp.n)
+        gen, a, b, _ = _adjacent_trial(rng, i, (sp.n, sp.d), lo, hi)
         ref = subset_indices(gen, sp.n1, sp.ref_size)
-        a, b = pair.datasets()
-        cov_a = stable_cov(a[sp.n1 :], cfg)
-        cov_b = stable_cov(b[sp.n1 :], cfg)
-        s1 = cov_a.covariance()
-        s2 = cov_b.covariance()
-        mean_a = stable_mean(a[: sp.n1], s1, cfg, ref)
-        mean_b = stable_mean(b[: sp.n1], s2, cfg, ref)
+        cov_a, s1, mean_a = _estimate(a, sp, ref)
+        cov_b, s2, mean_b = _estimate(b, sp, ref)
         scores = (cov_a.score, cov_b.score, mean_a.score, mean_b.score)
         if max(scores) >= sp.k:
             return False, True, 0.0
@@ -464,10 +481,7 @@ def audit_mean_stability(
         ok = observed <= bound * (1.0 + 1e-9) if hypothesis_met else True
         return True, ok, observed / bound
 
-    results = _map_trials(one, trials, threads)
-    qualifying = sum(1 for r in results if r[0])
-    failures = sum(1 for r in results if r[0] and not r[1])
-    ratios = [r[2] for r in results if r[0]]
+    qualifying, failures, ratios = _fold(one, trials, threads)
     stats_out = {
         "qualifying": float(qualifying),
         "non_qualifying": float(trials - qualifying),
@@ -518,9 +532,8 @@ def audit_utility_events(
     chol = np.linalg.cholesky(sigma_mat)
     whiten = sym_inv_sqrt(sigma_mat)
     cap = sp.lambda0 / 4.0
-    cfg = EstimatorConfig(sp.lambda0, sp.k)
 
-    def one(i: int) -> tuple[bool, bool, bool]:
+    def one(i: int) -> tuple[bool, bool, tuple[bool, bool]]:
         gen = rng.child(i).generator()
         x = mu_vec + gen.standard_normal((sp.n, d)) @ chol.T
         head_w = (x[: sp.n1] - mu_vec) @ whiten
@@ -534,8 +547,7 @@ def audit_utility_events(
         event = e1 and e2 and e3
 
         ref = subset_indices(gen, sp.n1, sp.ref_size)
-        cov_out = stable_cov(x[sp.n1 :], cfg)
-        mean_out = stable_mean(x[: sp.n1], cov_out.covariance(), cfg, ref)
+        cov_out, sigma_hat, mean_out = _estimate(x, sp, ref)
         uniform = bool(
             cov_out.score == 0
             and mean_out.score == 0
@@ -547,7 +559,7 @@ def audit_utility_events(
             implication = uniform
             if uniform:
                 sigma_bar = y.T @ y / sp.n2
-                cov_err = np.linalg.norm(cov_out.covariance() - sigma_bar)
+                cov_err = np.linalg.norm(sigma_hat - sigma_bar)
                 implication = cov_err <= 1e-9 * max(1.0, np.linalg.norm(sigma_bar))
                 head_avg = x[: sp.n1].mean(axis=0)
                 mu_hat = mean_out.weights @ x[: sp.n1]
@@ -555,12 +567,11 @@ def audit_utility_events(
                 implication = implication and mean_err <= 1e-9 * max(
                     1.0, np.linalg.norm(head_avg)
                 )
-        return event, uniform, implication
+        return True, implication, (event, uniform)
 
-    results = _map_trials(one, trials, threads)
-    p_event = sum(1 for r in results if r[0]) / max(trials, 1)
-    p_uniform = sum(1 for r in results if r[1]) / max(trials, 1)
-    failures = sum(1 for r in results if not r[2])
+    _, failures, events = _fold(one, trials, threads)
+    p_event = sum(1 for e, _ in events if e) / trials
+    p_uniform = sum(1 for _, u in events if u) / trials
     required = 1.0 - sp.alpha - 0.05
     stats_out = {
         "p_event": p_event,
@@ -579,18 +590,6 @@ def audit_utility_events(
     )
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Resolution and shared parameters for the density-ratio grids."""
-
-    points: int = 1000
-    tol: float = 1e-9
-    epsilon: float = 0.5
-    lambda0: float = 20.0
-    dims: tuple[int, ...] = (2, 3)
-    shift_dim: int = 3
-
-
 def _rotated_spd(gen: np.random.Generator, d: int, cap: float) -> np.ndarray:
     """Random symmetric matrix with spectrum 1 + U[0, cap] per coordinate.
 
@@ -603,12 +602,7 @@ def _rotated_spd(gen: np.random.Generator, d: int, cap: float) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def audit_density_lemmas(
-    grid_spec: GridSpec | None = None,
-    sp: SamplerPlan | None = None,
-    rng: RngStream | None = None,
-    mode: str = "relaxed",
-) -> AuditReport:
+def audit_density_lemmas(rng: RngStream, mode: str = "relaxed") -> AuditReport:
     """Log-density-ratio caps on dense grids over their hypothesis regions.
 
     Three regions, each at worst-case admissible parameters and with the
@@ -621,12 +615,11 @@ def audit_density_lemmas(
     - recentered projection: ||t|| <= 0.9 and a small inner-product cap
       against the worst admissible shift vector.
 
-    All three must stay at or below eps / 2 everywhere.
+    All three must stay at or below eps / 2 everywhere, at eps =
+    GRID_EPSILON and lambda0 = GRID_LAMBDA0.
     """
-    gs = grid_spec or GridSpec()
-    rng = rng or RngStream(2024, 0)
-    eps = gs.epsilon
-    lam0 = gs.lambda0
+    eps = GRID_EPSILON
+    lam0 = GRID_LAMBDA0
     budget = eps / 2.0
     failures = 0
     stats_out: dict[str, float] = {"budget": budget}
@@ -635,8 +628,7 @@ def audit_density_lemmas(
     n2_a = math.ceil(32.0 * E_SQ * lam0 / eps)
     gamma_a = 8.0 * E_SQ * lam0 / n2_a
     t_max = math.sqrt((2.0 / 3.0) * eps / (eps + 16.0 * E_SQ * lam0))
-    npts = max(gs.points, 1000)
-    ts = np.linspace(-t_max, t_max, npts + 1)  # odd count: includes 0 and both ends
+    ts = np.linspace(-t_max, t_max, GRID_POINTS + 1)  # odd count: includes 0 and both ends
     ratios = [
         math.sqrt(1.0 - gamma_a),
         (1.0 - gamma_a) ** 0.25,
@@ -648,7 +640,7 @@ def audit_density_lemmas(
     for r in ratios:
         vals = [scaled_projection_log_ratio(float(t), r, n2_a) for t in ts]
         worst = max(worst, max(vals))
-        failures += sum(1 for v in vals if v > budget + gs.tol)
+        failures += sum(1 for v in vals if v > budget + GRID_TOL)
     stats_out["worst_scaled_projection"] = worst
     stats_out["points_scaled_projection"] = float(ts.size * len(ratios))
 
@@ -657,15 +649,14 @@ def audit_density_lemmas(
     gamma_b = 8.0 * E_SQ * lam0 / n2_b
     quad_cap = eps / (4.0 * n2_b)
     fracs = np.array([0.25, 0.5, 0.75, 1.0])
-    for d in gs.dims:
+    for d in GRID_DIMS:
         gen = rng.child(100 + d).generator()
         worst_d = -math.inf
         count = 0
         for block in range(5):
             m = _rotated_spd(gen, d, 1.5 * gamma_b / d)
             eye = np.eye(d)
-            n_dir = max(gs.points // (4 * 5), 13)
-            dirs = sphere_batch(gen, d, n_dir)
+            dirs = sphere_batch(gen, d, GRID_POINTS // 20)
             for u in dirs:
                 q_m = float(u @ m @ u)
                 q_gap = float(u @ (m - eye) @ u)
@@ -676,13 +667,13 @@ def audit_density_lemmas(
                     t = (f * rho) * u
                     val = t_density_log_ratio(t, m, eye, n2_b)
                     worst_d = max(worst_d, val)
-                    failures += 1 if val > budget + gs.tol else 0
+                    failures += 1 if val > budget + GRID_TOL else 0
                     count += 1
         stats_out[f"worst_t_density_d{d}"] = worst_d
         stats_out[f"points_t_density_d{d}"] = float(count)
 
     # recentering region: worst admissible shift length, slab grid around it
-    d_s = gs.shift_dim
+    d_s = SHIFT_DIM
     n2_c = n2_b
     n1_c = math.ceil(5.0 * math.e * math.sqrt(114.0 * lam0) / eps)
     ell_norm = math.sqrt(114.0 * lam0) * math.e / (n1_c * math.sqrt(n2_c))
@@ -703,7 +694,7 @@ def audit_density_lemmas(
             t = a * u_ell + b * perp
             val = shift_log_ratio(t, ell, n2_c)
             worst_c = max(worst_c, val)
-            failures += 1 if val > budget + gs.tol else 0
+            failures += 1 if val > budget + GRID_TOL else 0
             count += 1
     stats_out["worst_shift"] = worst_c
     stats_out["points_shift"] = float(count)
@@ -728,9 +719,6 @@ def audit_matrix_bounds(
     d: int,
     rng: RngStream,
     mode: str = "relaxed",
-    epsilon: float = 1.0,
-    delta: float = 0.05,
-    lambda0: float = 20.0,
     threads: int = 1,
 ) -> AuditReport:
     """Trace, spectral and Frobenius bounds for the projection-gap matrix.
@@ -747,8 +735,7 @@ def audit_matrix_bounds(
     """
     if d < 2:
         raise PreconditionViolated("d must be >= 2")
-    if trials < 1:
-        raise PreconditionViolated("trials must be >= 1")
+    epsilon, delta, lambda0 = 1.0, 0.05, 20.0
     n2 = math.ceil(96.0 * E_SQ * lambda0 / epsilon)
     gamma = 8.0 * E_SQ * lambda0 / n2
     a_shift = epsilon / (4.0 * n2)
@@ -763,7 +750,7 @@ def audit_matrix_bounds(
     )
     tol = 1e-12
 
-    def one(i: int) -> tuple[bool, float, float]:
+    def one(i: int) -> tuple[bool, bool, tuple[float, float]]:
         gen = rng.child(i).generator()
         if i == 0:
             m = np.eye(d)  # no-op adjacency: identical estimates
@@ -782,19 +769,18 @@ def audit_matrix_bounds(
             and frob_sq <= frob_bound * (1.0 + 1e-12)
             and ratio >= required_ratio - 1e-9
         )
-        return ok, ratio, trace_a
+        return True, ok, (ratio, trace_a)
 
-    results = _map_trials(one, trials, threads)
-    failures = sum(1 for r in results if not r[0])
+    _, failures, results = _fold(one, trials, threads)
     stats_out = {
-        "min_corollary_ratio": min(r[1] for r in results),
+        "min_corollary_ratio": min(r[0] for r in results),
         "required_ratio": required_ratio,
-        "max_trace": max(r[2] for r in results),
+        "max_trace": max(r[1] for r in results),
         "trace_bound": trace_bound,
         "gamma": gamma,
         "n2": float(n2),
         "c2_effective": c2_eff,
-        "noop_trace": results[0][2] if results else 0.0,
+        "noop_trace": results[0][1],
     }
     return AuditReport(
         check_id=f"matrix_bounds.d{d}",
@@ -838,8 +824,13 @@ def audit_tail_facts(
     the trace-norm inverse gap, and the finite-support divergence triangle.
     Qualitative (unspecified constants): sub-exponential decay constants
     fitted for the quadratic-form and Beta tails must stay positive.
+    Fewer than TAIL_FACTS_MIN_DRAWS draws are refused before any draw.
     """
-    n_draws = max(int(trials), 1000)
+    if trials < TAIL_FACTS_MIN_DRAWS:
+        raise PreconditionViolated(
+            f"tail_facts needs at least {TAIL_FACTS_MIN_DRAWS} draws, got {trials}"
+        )
+    n_draws = int(trials)
     failures = 0
     stats_out: dict[str, float] = {}
 
@@ -968,10 +959,7 @@ def audit_end_to_end(
     trials: int,
     rng: RngStream,
     mode: str = "strict",
-    settings: tuple[tuple[float, float], ...] = ((0.0, 1.0), (1.0e6, 1.0e4)),
     smoke_trials: int | None = None,
-    dataset_factory: Callable[[np.random.Generator, SamplerPlan, float, float], np.ndarray]
-    | None = None,
     threads: int = 1,
 ) -> AuditReport:
     """Output law against the truth, plus an informational privacy smoke run.
@@ -1000,36 +988,30 @@ def audit_end_to_end(
     failures = 0
     stats_out: dict[str, float] = {"alpha": sp.alpha}
 
+    settings = ((0.0, 1.0), (1.0e6, 1.0e4))  # the truth, then its affine image
+
     def one(i: int) -> list[float | None]:
-        data_gen = rng.child(2 * i).generator()
-        base = data_gen.standard_normal((sp.n, sp.d))
+        base = rng.child(2 * i).generator().standard_normal((sp.n, sp.d))
         out = []
         for mu, var in settings:
-            if dataset_factory is not None:
-                x = dataset_factory(data_gen, sp, mu, var)
-            else:
-                x = mu + math.sqrt(var) * base
-            res, _ = sample_unbounded(x, sp, rng.child(2 * i + 1))
+            res, _ = sample_unbounded(mu + math.sqrt(var) * base, sp, rng.child(2 * i + 1))
             out.append(None if res.failed else float(res.value[0]))
         return out
 
     per_trial = _map_trials(one, trials, threads)
 
+    (mu0, var0), (mu1, var1) = settings
     equiv_worst = 0.0
-    if dataset_factory is None and len(settings) > 1:
-        mu0, var0 = settings[0]
-        for row in per_trial:
-            if row[0] is None:
-                continue
-            for (mu, var), z in zip(settings[1:], row[1:]):
-                if z is None:
-                    equiv_worst = math.inf
-                    continue
-                want = mu + math.sqrt(var / var0) * (row[0] - mu0)
-                scale = max(abs(want), math.sqrt(var))
-                equiv_worst = max(equiv_worst, abs(z - want) / scale)
-        failures += 1 if equiv_worst > 1e-6 else 0
-        stats_out["equivariance_max_err"] = equiv_worst
+    for z0, z1 in per_trial:
+        if z0 is None:
+            continue
+        if z1 is None:
+            equiv_worst = math.inf
+            continue
+        want = mu1 + math.sqrt(var1 / var0) * (z0 - mu0)
+        equiv_worst = max(equiv_worst, abs(z1 - want) / max(abs(want), math.sqrt(var1)))
+    failures += 1 if equiv_worst > 1e-6 else 0
+    stats_out["equivariance_max_err"] = equiv_worst
 
     insufficient = False
     for idx, (mu, var) in enumerate(settings):
@@ -1090,34 +1072,22 @@ def audit_end_to_end(
     )
 
 
-# registry: check name -> builder(trials, mode, seed, threads) -> reports.
-# Stream ids are the stable per-check offsets below, so adding a check never
-# reshuffles the randomness of the existing ones.
-_CHECK_STREAMS = {
-    "score_sensitivity": 1,
-    "cov_stability": 2,
-    "mean_stability": 3,
-    "utility_events": 4,
-    "density_lemmas": 5,
-    "matrix_bounds": 6,
-    "tail_facts": 7,
-    "end_to_end": 8,
-}
-
-_DEFAULT_TRIALS = {
-    "score_sensitivity": 60,
-    "cov_stability": 40,
-    "mean_stability": 40,
-    "utility_events": 120,
-    "density_lemmas": 0,  # grid-driven
-    "matrix_bounds": 60,
-    "tail_facts": 30_000,
-    "end_to_end": 800,
+# check name -> (stream id, default trials). Each check keeps its stream id,
+# so adding a check never reshuffles the randomness of the existing ones.
+_CHECKS = {
+    "score_sensitivity": (1, 60),
+    "cov_stability": (2, 40),
+    "mean_stability": (3, 40),
+    "utility_events": (4, 120),
+    "density_lemmas": (5, 0),  # grid-driven
+    "matrix_bounds": (6, 60),
+    "tail_facts": (7, 30_000),
+    "end_to_end": (8, 800),
 }
 
 
 def _run_score_sensitivity(trials: int, mode: str, seed: int, threads: int):
-    rng = RngStream(seed, _CHECK_STREAMS["score_sensitivity"])
+    rng = RngStream(seed, _CHECKS["score_sensitivity"][0])
     if mode == "relaxed":
         plans = [relaxed_plan(d) for d in range(1, 6)]
     else:
@@ -1126,19 +1096,19 @@ def _run_score_sensitivity(trials: int, mode: str, seed: int, threads: int):
 
 
 def _run_cov_stability(trials: int, mode: str, seed: int, threads: int):
-    rng = RngStream(seed, _CHECK_STREAMS["cov_stability"])
-    sp = plan_for_mode(mode, 3 if mode == "relaxed" else 1)
+    rng = RngStream(seed, _CHECKS["cov_stability"][0])
+    sp = relaxed_plan(3) if mode == "relaxed" else strict_plan(1)
     return [audit_cov_stability(trials, sp, rng, mode=mode, threads=threads)]
 
 
 def _run_mean_stability(trials: int, mode: str, seed: int, threads: int):
-    rng = RngStream(seed, _CHECK_STREAMS["mean_stability"])
-    sp = plan_for_mode(mode, 3 if mode == "relaxed" else 1)
+    rng = RngStream(seed, _CHECKS["mean_stability"][0])
+    sp = relaxed_plan(3) if mode == "relaxed" else strict_plan(1)
     return [audit_mean_stability(trials, sp, rng, mode=mode, threads=threads)]
 
 
 def _run_utility_events(trials: int, mode: str, seed: int, threads: int):
-    base = RngStream(seed, _CHECK_STREAMS["utility_events"])
+    base = RngStream(seed, _CHECKS["utility_events"][0])
     reports = []
     for j, d in enumerate((1, 2, 4)):
         sp = strict_plan(d)
@@ -1160,12 +1130,11 @@ def _run_utility_events(trials: int, mode: str, seed: int, threads: int):
 
 
 def _run_density_lemmas(trials: int, mode: str, seed: int, threads: int):
-    rng = RngStream(seed, _CHECK_STREAMS["density_lemmas"])
-    return [audit_density_lemmas(GridSpec(), rng=rng, mode=mode)]
+    return [audit_density_lemmas(RngStream(seed, _CHECKS["density_lemmas"][0]), mode=mode)]
 
 
 def _run_matrix_bounds(trials: int, mode: str, seed: int, threads: int):
-    base = RngStream(seed, _CHECK_STREAMS["matrix_bounds"])
+    base = RngStream(seed, _CHECKS["matrix_bounds"][0])
     return [
         audit_matrix_bounds(trials, d, base.child(j), mode=mode, threads=threads)
         for j, d in enumerate((2, 3, 5))
@@ -1173,12 +1142,11 @@ def _run_matrix_bounds(trials: int, mode: str, seed: int, threads: int):
 
 
 def _run_tail_facts(trials: int, mode: str, seed: int, threads: int):
-    rng = RngStream(seed, _CHECK_STREAMS["tail_facts"])
-    return [audit_tail_facts(trials, rng, mode=mode)]
+    return [audit_tail_facts(trials, RngStream(seed, _CHECKS["tail_facts"][0]), mode=mode)]
 
 
 def _run_end_to_end(trials: int, mode: str, seed: int, threads: int):
-    rng = RngStream(seed, _CHECK_STREAMS["end_to_end"])
+    rng = RngStream(seed, _CHECKS["end_to_end"][0])
     sp = strict_plan(1)
     return [
         audit_end_to_end(
@@ -1210,8 +1178,11 @@ def run_checks(
 
     trials overrides every check's default count; None keeps per-check
     defaults. Reports come back in registry order and are byte-stable for
-    a fixed (checks, mode, seed, trials) tuple.
+    a fixed (checks, mode, seed, trials) tuple. A mode other than relaxed
+    or strict, or an unknown check, is refused before any check runs.
     """
+    if mode not in ("relaxed", "strict"):
+        raise PreconditionViolated(f"mode must be 'relaxed' or 'strict', got {mode!r}")
     names = list(REGISTRY) if "all" in checks else list(checks)
     for name in names:
         if name not in REGISTRY:
@@ -1220,6 +1191,6 @@ def run_checks(
             )
     reports: list[AuditReport] = []
     for name in names:
-        n = _DEFAULT_TRIALS[name] if trials is None else trials
+        n = _CHECKS[name][1] if trials is None else trials
         reports.extend(REGISTRY[name](n, mode, seed, threads))
     return reports

@@ -57,6 +57,8 @@ def check_symmetric(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     matrix scaled by 1e6 is judged by the same yardstick as a unit one.
     An exactly symmetric matrix without NaN entries passes that test, so
     it returns early; the covariance estimates ``w @ w.T`` take that path.
+    Any other matrix with a NaN or infinite entry is rejected: an infinite
+    yardstick would accept every finite pair.
     """
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -64,6 +66,8 @@ def check_symmetric(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     if np.array_equal(a, a.T):
         return a
     scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if not np.isfinite(scale):
+        raise NotSymmetric("matrix is not exactly symmetric and has a non-finite entry")
     if not np.allclose(a, a.T, atol=rtol * max(scale, 1e-300), rtol=0.0):
         raise NotSymmetric("matrix is not symmetric")
     return a

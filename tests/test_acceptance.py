@@ -14,7 +14,6 @@ import pytest
 from scipy import stats as sstats
 
 from dpgs.audit import (
-    GridSpec,
     audit_cov_stability,
     audit_density_lemmas,
     audit_end_to_end,
@@ -134,7 +133,7 @@ def test_criterion_06_end_to_end_tv():
 
 def test_criterion_07_density_grids():
     t0 = time.perf_counter()
-    rep = audit_density_lemmas(GridSpec(points=1000), rng=RngStream(SEED, 702))
+    rep = audit_density_lemmas(RngStream(SEED, 702))
     elapsed = time.perf_counter() - t0
     worst = max(
         rep.statistics["worst_scaled_projection"],

@@ -10,7 +10,6 @@ PUBLIC = [
     "AdjacentPair",
     "AuditReport",
     "EstimatorConfig",
-    "GridSpec",
     "PrivacyParams",
     "PtrOutcome",
     "RngStream",

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 import dpgs.audit as audit_mod
 from dpgs.audit import (
     END_TO_END_MIN_TRIALS,
+    REGISTRY,
+    TAIL_FACTS_MIN_DRAWS,
     AdjacentPair,
     AuditReport,
-    GridSpec,
     audit_cov_stability,
     audit_density_lemmas,
     audit_end_to_end,
@@ -31,6 +32,7 @@ from dpgs.audit import (
 from dpgs.exceptions import PreconditionViolated
 from dpgs.privacy import E_SQ
 from dpgs.randomness import RngStream
+from dpgs.samplers import SampleResult
 
 PLAN3 = relaxed_plan(3)
 STRICT1 = strict_plan(1)
@@ -124,14 +126,52 @@ class TestReportPlumbing:
         b = run_checks(["density_lemmas"], seed=31)
         assert reports_to_json_lines(a) == reports_to_json_lines(b)
 
-    def test_run_checks_threads_match_serial(self):
-        a = run_checks(["cov_stability"], seed=5, trials=10, threads=1)
-        b = run_checks(["cov_stability"], seed=5, trials=10, threads=3)
+    # every check that fans trials out over threads, at small trial counts
+    @pytest.mark.parametrize(
+        "name, trials",
+        [
+            ("score_sensitivity", 8),
+            ("cov_stability", 10),
+            ("mean_stability", 6),
+            ("utility_events", 4),
+            ("matrix_bounds", 6),
+            ("end_to_end", END_TO_END_MIN_TRIALS),
+        ],
+    )
+    def test_run_checks_threads_match_serial(self, name, trials):
+        a = run_checks([name], seed=5, trials=trials, threads=1)
+        b = run_checks([name], seed=5, trials=trials, threads=3)
         assert reports_to_json_lines(a) == reports_to_json_lines(b)
 
     def test_run_checks_unknown_name(self):
         with pytest.raises(PreconditionViolated):
             run_checks(["nope"], seed=1)
+
+    @pytest.mark.parametrize("mode", ["Strict", "", "both"])
+    def test_run_checks_rejects_bad_mode_before_any_check(self, monkeypatch, mode):
+        def never(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        for name in REGISTRY:
+            monkeypatch.setitem(REGISTRY, name, never)
+        with pytest.raises(PreconditionViolated, match="mode"):
+            run_checks(["score_sensitivity"], mode=mode, seed=1)
+
+    @pytest.mark.parametrize(
+        "name", ["score_sensitivity", "cov_stability", "mean_stability",
+                 "utility_events", "matrix_bounds"],
+    )
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_run_checks_rejects_trials_below_one_before_any_trial(
+        self, monkeypatch, name, trials
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("an estimator ran")
+
+        monkeypatch.setattr(audit_mod, "stable_cov", never)
+        monkeypatch.setattr(audit_mod, "subset_indices", never)
+        with pytest.raises(PreconditionViolated, match="trials must be >= 1"):
+            run_checks([name], seed=1, trials=trials)
 
 
 class TestScoreSensitivity:
@@ -145,7 +185,7 @@ class TestScoreSensitivity:
         assert rep.statistics["hypothesis_met"] == 1.0
 
     def test_strict_mode_flags_hypothesis(self):
-        rep = audit_score_sensitivity(8, STRICT1, RngStream(7, 2), mode="strict")
+        rep = audit_score_sensitivity(8, [STRICT1], RngStream(7, 2), mode="strict")
         assert rep.statistics["hypothesis_met"] == 0.0
         assert rep.verdict == "pass"  # the sensitivity cap holds regardless
 
@@ -193,7 +233,7 @@ class TestUtilityEvents:
 
 class TestDensityLemmas:
     def test_grids_stay_under_budget(self):
-        rep = audit_density_lemmas(GridSpec(), rng=RngStream(7, 8))
+        rep = audit_density_lemmas(RngStream(7, 8))
         assert rep.verdict == "pass"
         budget = rep.statistics["budget"]
         for key in (
@@ -221,13 +261,22 @@ class TestMatrixBounds:
 
 class TestTailFacts:
     def test_small_run_passes(self):
-        rep = audit_tail_facts(5000, RngStream(7, 11))
+        rep = audit_tail_facts(TAIL_FACTS_MIN_DRAWS, RngStream(7, 11))
         assert rep.verdict == "pass"
         assert rep.statistics["sphere_ks"] <= 0.02
         assert rep.statistics["mixture_ks_pvalue"] >= 0.01
         assert rep.statistics["triangle_failures"] == 0.0
         assert rep.statistics["quad_c_fit"] > 0.02
         assert rep.statistics["beta_c_fit"] > 0.02
+
+    @pytest.mark.parametrize("trials", [TAIL_FACTS_MIN_DRAWS - 1, 1000, 0, -1])
+    def test_too_few_draws_rejected_before_any_draw(self, trials):
+        class UntouchedStream(RngStream):
+            def child(self, i):
+                raise AssertionError("a stream was opened")
+
+        with pytest.raises(PreconditionViolated, match=f"at least {TAIL_FACTS_MIN_DRAWS} "):
+            audit_tail_facts(trials, UntouchedStream(7, 11))
 
 
 class TestEndToEnd:
@@ -238,13 +287,12 @@ class TestEndToEnd:
         assert rep.statistics["equivariance_max_err"] <= 1e-9
         assert "smoke_hs_forward" in rep.statistics
 
-    def test_all_fail_input_reports_insufficient(self):
-        def constant_rows(gen, sp, mu, var):
-            return np.full((sp.n, sp.d), mu)
+    def test_all_fail_input_reports_insufficient(self, monkeypatch):
+        def always_fail(x, sp, rng):
+            return SampleResult(None), None
 
-        rep = audit_end_to_end(
-            STRICT1, 60, RngStream(7, 13), smoke_trials=0, dataset_factory=constant_rows
-        )
+        monkeypatch.setattr(audit_mod, "sample_unbounded", always_fail)
+        rep = audit_end_to_end(STRICT1, 60, RngStream(7, 13), smoke_trials=0)
         assert rep.verdict == "fail"
         assert rep.statistics["insufficient_outputs_s0"] == 1.0
 

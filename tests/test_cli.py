@@ -248,6 +248,14 @@ class TestAudit:
         assert code == 2
         assert f"at least {END_TO_END_MIN_TRIALS} trials" in err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exits_two(self, capsys, trials):
+        code, _, err = run_cli(
+            capsys, "audit", "--check", "score_sensitivity", "--trials", trials
+        )
+        assert code == 2
+        assert "trials must be >= 1" in err
+
     def test_failing_verdict_exits_one(self, capsys, monkeypatch):
         def fake(trials, mode, seed, threads):
             return [AuditReport("density_lemmas", mode, 1, 1, {}, "fail", seed)]

@@ -49,6 +49,12 @@ def tolerance_verdict(a, rtol=1e-9):
     return bool(np.allclose(a, a.T, atol=rtol * max(scale, 1e-300), rtol=0.0))
 
 
+def reference_verdict(a):
+    """The tolerance test, where a non-finite entry is allowed only in an
+    exactly symmetric matrix (an infinite yardstick accepts every pair)."""
+    return tolerance_verdict(a) and (bool(np.all(np.isfinite(a))) or np.array_equal(a, a.T))
+
+
 def is_symmetric(a):
     try:
         check_symmetric(a)
@@ -96,16 +102,33 @@ def test_check_symmetric_shortcut_keeps_the_tolerance_verdict():
         d = int(rng.integers(1, 6))
         a = random_symmetric(rng, d) * 10.0 ** rng.integers(-100, 100)
         i, j = rng.integers(0, d, size=2)
-        kind = trial % 4
+        kind = trial % 5
         if kind == 1:
             a[i, j] = a[j, i] = rng.choice([NAN, INF, -INF])
         elif kind == 2:
             a[i, j] *= 1.0 + rng.choice([1e-13, 1e-10, 1e-8, 1e-6])
         elif kind == 3:
             a[i, j] = rng.choice([NAN, INF])
-        assert is_symmetric(a) is tolerance_verdict(a), (trial, a)
+        elif kind == 4:  # an infinity on the diagonal, an asymmetric pair beside it
+            a[i, i] = rng.choice([INF, -INF])
+            a[j, (j + 1) % d] *= 1.0 + rng.choice([0.0, 1e-13, 1e-6, 1.0])
+        assert is_symmetric(a) is reference_verdict(a), (trial, a)
     w = rng.standard_normal((5, 40))
     assert np.array_equal(check_symmetric(w @ w.T), w @ w.T)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        [[INF, 1.0], [2.0, 0.0]],
+        [[1.0, INF], [0.0, 1.0]],
+        [[-INF, 0.0], [1e300, 5.0]],
+        [[INF, 1.0], [1.0 + 1e-12, 0.0]],  # within the tolerance, but holds an inf
+    ],
+)
+def test_check_symmetric_rejects_inexact_matrix_with_inf(a):
+    with pytest.raises(NotSymmetric, match="non-finite"):
+        check_symmetric(np.asarray(a, dtype=float))
 
 
 def test_matrix_norms_from_singular_values():
