@@ -27,7 +27,6 @@ from .estimators import (
     EstimatorConfig,
     WeightedCovOutput,
     WeightVectorOutput,
-    largest_core,
     largest_good_subset,
     pair_and_rescale,
     stable_cov,
@@ -77,7 +76,6 @@ __all__ = [
     "cov_aware_mean",
     "gate_leakage",
     "ladder_granularity",
-    "largest_core",
     "largest_good_subset",
     "noise_multiplier_sq",
     "outlier_threshold",

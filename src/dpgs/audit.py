@@ -42,7 +42,13 @@ from .divergences import (
     tv_histogram,
     weak_triangle_check,
 )
-from .estimators import EstimatorConfig, pair_and_rescale, stable_cov, stable_mean
+from .estimators import (
+    EstimatorConfig,
+    neighbor_counts,
+    pair_and_rescale,
+    stable_cov,
+    stable_mean,
+)
 from .exceptions import PreconditionViolated
 from .linalg import (
     inverse_tracenorm_gap,
@@ -417,20 +423,16 @@ def _degree_representative(
     """Whether the reference subset mirrors every row's neighbor fraction.
 
     Compares each row's neighbor count over the whole head block against its
-    count over the reference rows; the subset qualifies when every fractional
-    gap is at most 1/6.
+    count over the reference rows, both from estimators.neighbor_counts; the
+    subset qualifies when every fractional gap is at most 1/6. Callers pass
+    the estimate of a trial whose covariance score is below k, and such an
+    estimate is nonsingular: some rung up to k is then nonempty, so its
+    scatter is nonsingular (the ladder empties a rung with a singular one),
+    and its rows stay on every top-half rung, so they carry weight 1/m.
     """
-    w = np.linalg.eigvalsh(sigma_hat)
-    if w[0] <= 0.0:
-        return False
-    z = x_head @ sym_inv_sqrt(sigma_hat)
-    sq = np.einsum("ij,ij->i", z, z)
-    dist = sq[:, None] + sq[None, :] - 2.0 * (z @ z.T)
-    inside = dist <= lam
-    n1 = x_head.shape[0]
-    full_frac = inside.sum(axis=1) / n1
-    ref_frac = inside[:, ref].sum(axis=1) / ref.size
-    return bool(np.max(np.abs(ref_frac - full_frac)) <= 1.0 / 6.0)
+    full = neighbor_counts(x_head, x_head, sigma_hat, lam) / x_head.shape[0]
+    part = neighbor_counts(x_head, x_head[ref], sigma_hat, lam) / ref.size
+    return bool(np.max(np.abs(part - full)) <= 1.0 / 6.0)
 
 
 def audit_mean_stability(
@@ -1179,10 +1181,13 @@ def run_checks(
     trials overrides every check's default count; None keeps per-check
     defaults. Reports come back in registry order and are byte-stable for
     a fixed (checks, mode, seed, trials) tuple. A mode other than relaxed
-    or strict, or an unknown check, is refused before any check runs.
+    or strict, a trial count below 1 or an unknown check is refused before
+    any check runs.
     """
     if mode not in ("relaxed", "strict"):
         raise PreconditionViolated(f"mode must be 'relaxed' or 'strict', got {mode!r}")
+    if trials is not None and trials < 1:
+        raise PreconditionViolated(f"trials must be >= 1, got {trials}")
     names = list(REGISTRY) if "all" in checks else list(checks)
     for name in names:
         if name not in REGISTRY:

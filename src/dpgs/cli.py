@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -73,10 +72,7 @@ def _params_from(args: argparse.Namespace) -> PrivacyParams:
 
 
 def _plan_from(args: argparse.Namespace):
-    return plan(
-        args.alpha, _params_from(args), args.dim,
-        c1=args.c1, c2=args.c2, log_base=args.log_base,
-    )
+    return plan(args.alpha, _params_from(args), args.dim, c1=args.c1, c2=args.c2)
 
 
 def _load_csv(path: str, dim: int) -> np.ndarray:
@@ -197,7 +193,6 @@ def _add_plan_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dim", type=int, required=True)
     sub.add_argument("--c1", type=float, default=1.0)
     sub.add_argument("--c2", type=float, default=1.0)
-    sub.add_argument("--log-base", type=float, default=math.e, dest="log_base")
 
 
 def build_parser() -> argparse.ArgumentParser:

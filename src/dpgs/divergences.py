@@ -378,17 +378,12 @@ class TvEstimate:
     bins_per_axis: int
 
 
-def tv_histogram(
-    samples_a: np.ndarray,
-    samples_b: np.ndarray,
-    bins: int | None = None,
-    rng: RngStream | None = None,
-    resamples: int = 200,
-) -> TvEstimate:
+def tv_histogram(samples_a: np.ndarray, samples_b: np.ndarray, rng: RngStream) -> TvEstimate:
     """Total-variation estimate between two sample sets (dimension <= 3).
 
     Uses ceil(n^(1/3)) equal-width bins per axis over the pooled range,
-    where n is the smaller sample count.
+    where n is the smaller sample count; rng drives the 200 bootstrap and
+    200 null rounds.
     """
     a = _as_sample_matrix(samples_a)
     b = _as_sample_matrix(samples_b)
@@ -400,8 +395,7 @@ def tv_histogram(
     n_a, n_b = a.shape[0], b.shape[0]
     if min(n_a, n_b) < 2:
         raise PreconditionViolated("need at least 2 samples on each side")
-    if bins is None:
-        bins = math.ceil(min(n_a, n_b) ** (1.0 / 3.0))
+    bins = math.ceil(min(n_a, n_b) ** (1.0 / 3.0))
     pooled = np.vstack([a, b])
     edges = [
         np.linspace(pooled[:, j].min(), pooled[:, j].max() + 1e-9, bins + 1)
@@ -411,7 +405,8 @@ def tv_histogram(
     count_b = np.histogramdd(b, bins=edges)[0].reshape(-1)
     raw_tv = 0.5 * float(np.abs(count_a / n_a - count_b / n_b).sum())
 
-    gen = (rng if rng is not None else RngStream(0, 0)).generator()
+    gen = rng.generator()
+    resamples = 200
     prob_a = count_a / n_a
     prob_b = count_b / n_b
     boots_a = gen.multinomial(n_a, prob_a, size=resamples) / n_a

@@ -24,7 +24,7 @@ from .exceptions import (
     OddRowCount,
     PreconditionViolated,
 )
-from .linalg import RANGE_RTOL, SINGULAR_RTOL, check_symmetric
+from .linalg import SINGULAR_RTOL, check_symmetric, outside_range, range_mask
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ _CERT_ETA = 1e-12
 _CERT_FLOOR = 1e-280
 
 
-def _neighbor_counts(
+def neighbor_counts(
     x: np.ndarray, ref: np.ndarray, sigma: np.ndarray, lam: float
 ) -> np.ndarray:
     """Per row of x, the number of ref rows with ``||x_i - ref_j||^2_sigma <= lam``.
@@ -247,24 +247,17 @@ def _neighbor_counts(
     rounding error itself could reach lam, and when any pair lies within
     that slack of lam.
 
-    A singular or zero sigma (an eigenvalue <= SINGULAR_RTOL times the
-    largest) uses the pseudoinverse-limit convention of mahalanobis_sq:
-    differences outside range(sigma) get +inf while differences inside it
-    (in particular exact ties) use sigma^+, all from the dense matrices.
+    sigma must be PSD (NotPD otherwise). A singular or zero sigma uses the
+    pseudoinverse-limit convention of linalg.range_mask: differences
+    outside range(sigma) get +inf while differences inside it (in
+    particular exact ties) use sigma^+, all from the dense matrices.
     """
     sigma = check_symmetric(sigma)
     d = sigma.shape[0]
     if x.shape[1] != d or ref.shape[1] != d:
         raise DimensionMismatch("row dimension does not match sigma")
     w, u = np.linalg.eigh(sigma)
-    top = float(w[-1]) if w.size else 0.0
-    if top <= 0.0:
-        # sigma == 0: distance 0 for identical rows, +inf otherwise.
-        sq = _pairwise_sq_euclid(x, ref)
-        dist = np.where(sq <= (RANGE_RTOL**2) * 1e-300, 0.0, np.inf)
-        dist[sq == 0.0] = 0.0
-        return np.sum(dist <= lam, axis=1)
-    keep = w > SINGULAR_RTOL * top
+    keep = range_mask(w)
     xk = (x @ u[:, keep]) / np.sqrt(w[keep])
     rk = (ref @ u[:, keep]) / np.sqrt(w[keep])
     if np.all(keep):
@@ -273,11 +266,13 @@ def _neighbor_counts(
             return counts
     dist = _pairwise_sq_euclid(xk, rk)
     if not np.all(keep):
-        xn = x @ u[:, ~keep]
-        rn = ref @ u[:, ~keep]
-        null_mass = _pairwise_sq_euclid(xn, rn)
         raw = _pairwise_sq_euclid(x, ref)
-        dist = np.where(null_mass > (RANGE_RTOL**2) * raw, np.inf, dist)
+        # with no range every direction is null: the null mass is the raw
+        # distance itself, and rotating it by u would only add rounding
+        null_mass = raw
+        if np.any(keep):
+            null_mass = _pairwise_sq_euclid(x @ u[:, ~keep], ref @ u[:, ~keep])
+        dist = np.where(outside_range(null_mass, raw), np.inf, dist)
     return np.sum(dist <= lam, axis=1)
 
 
@@ -365,22 +360,6 @@ def _pairwise_sq_euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(sq, 0.0, None)
 
 
-def largest_core(
-    x: np.ndarray, sigma_hat: np.ndarray, lam: float, tau: int, r: np.ndarray
-) -> np.ndarray:
-    """Rows with at least tau reference neighbors within Mahalanobis radius.
-
-    N_i = {j in r : ||x_i - x_j||^2_sigma_hat <= lam}; keeps
-    {i : |N_i| >= tau}. Returns sorted 0-based indices into x.
-    """
-    x = np.asarray(x, dtype=float)
-    r = _check_reference(r, x.shape[0])
-    if not lam > 0.0:
-        raise PreconditionViolated(f"lam must be positive, got {lam}")
-    nbrs = _neighbor_counts(x, x[r], sigma_hat, lam)
-    return np.flatnonzero(nbrs >= tau).astype(np.int64)
-
-
 def _check_reference(r: np.ndarray, n: int) -> np.ndarray:
     r = np.asarray(r, dtype=np.int64).reshape(-1)
     if r.size == 0:
@@ -397,24 +376,24 @@ def stable_mean(
     sigma_hat: np.ndarray,
     cfg: EstimatorConfig,
     r: np.ndarray,
-    core_lambda: float | None = None,
 ) -> WeightVectorOutput:
     """Replacement-stable weight vector for a mean estimate.
 
-    Sweeps the neighbor quota tau = |r| - l for l = 0..2k over fixed radius
-    core_lambda (default ``e^2 * lambda0``), scoring like stable_cov and
+    Sweeps the neighbor quota tau = |r| - l for l = 0..2k over the fixed
+    radius ``e^2 * lambda0``, scoring like stable_cov and
     counting retention over l = k+1..2k; weights are counts / sum(counts),
     or all zero when no row is ever retained.
 
-    Neighbor counts come from _neighbor_counts. They equal those of the
+    Neighbor counts come from neighbor_counts. They equal those of the
     dense matrix of expanded squared distances aa + bb - 2ab between the
     whitened rows, whose rounding error is at most gamma_{d+2} (|a| + |b|)^2
     with gamma_{d+2} ~ (d+2) 2^-53; certificates with a relative slack of
     1e-12 decide most pairs without forming that matrix. They decline, and
     the dense matrix is formed, when sigma_hat is singular, when a pair's
     distance lies within the slack of the radius, and when the data sit so
-    far from the origin in whitened units (roughly 1e6 sqrt(core_lambda))
-    that the dense rounding error itself could reach the radius.
+    far from the origin in whitened units (roughly 1e6 times the radius's
+    square root) that the dense rounding error itself could reach the
+    radius. A sigma_hat that is not PSD raises NotPD before any count.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -429,11 +408,7 @@ def stable_mean(
             RuntimeWarning,
             stacklevel=2,
         )
-    lam = math.e**2 * cfg.lambda0 if core_lambda is None else float(core_lambda)
-    if not lam > 0.0:
-        raise PreconditionViolated(f"core_lambda must be positive, got {lam}")
-
-    nbrs = _neighbor_counts(x, x[r], sigma_hat, lam)
+    nbrs = neighbor_counts(x, x[r], sigma_hat, math.e**2 * cfg.lambda0)
     # Row i enters S_l exactly when l >= t_i = |r| - nbrs_i.
     t = r.size - nbrs
     sizes = np.cumsum(np.bincount(np.minimum(t, 2 * k + 1), minlength=2 * k + 2))[: 2 * k + 1]

@@ -18,7 +18,7 @@ from .exceptions import DimensionMismatch, NotPD, NotSymmetric
 SINGULAR_RTOL = 1e-12
 
 # Relative mass a vector may have outside range(sigma) and still count as
-# lying in the range (pseudoinverse convention, see mahalanobis_sq).
+# lying in the range (pseudoinverse convention, see range_mask).
 RANGE_RTOL = 1e-9
 
 
@@ -50,10 +50,10 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def check_symmetric(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
+def check_symmetric(a: np.ndarray) -> np.ndarray:
     """Return ``a`` as a float array, raising NotSymmetric if it is not.
 
-    Symmetry is checked relative to the largest absolute entry so that a
+    Symmetry is checked to 1e-9 of the largest absolute entry so that a
     matrix scaled by 1e6 is judged by the same yardstick as a unit one.
     An exactly symmetric matrix without NaN entries passes that test, so
     it returns early; the covariance estimates ``w @ w.T`` take that path.
@@ -68,7 +68,7 @@ def check_symmetric(a: np.ndarray, rtol: float = 1e-9) -> np.ndarray:
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if not np.isfinite(scale):
         raise NotSymmetric("matrix is not exactly symmetric and has a non-finite entry")
-    if not np.allclose(a, a.T, atol=rtol * max(scale, 1e-300), rtol=0.0):
+    if not np.allclose(a, a.T, atol=1e-9 * max(scale, 1e-300), rtol=0.0):
         raise NotSymmetric("matrix is not symmetric")
     return a
 
@@ -97,14 +97,34 @@ def matrix_norms(a: np.ndarray) -> MatrixNorms:
     )
 
 
+def range_mask(w: np.ndarray) -> np.ndarray:
+    """Which eigenvalues (``eigh``'s ascending ``w``) span the range of a PSD matrix.
+
+    The range keeps the eigenvalues above SINGULAR_RTOL times the largest,
+    so the zero matrix has none; one below -SINGULAR_RTOL times the largest
+    (less 1e-300) raises NotPD. Every Mahalanobis norm in the package takes
+    the pseudoinverse limit on this split: a difference outside the range
+    (see outside_range) is infinitely far, one inside it uses sigma^+.
+    """
+    top = max(float(w[-1]), 0.0) if w.size else 0.0
+    if w.size and w[0] < -SINGULAR_RTOL * top - 1e-300:
+        raise NotPD("sigma must be positive semidefinite")
+    return w > SINGULAR_RTOL * top
+
+
+def outside_range(null_mass: np.ndarray | float, sq_norm: np.ndarray | float):
+    """Whether squared null-space mass null_mass puts a vector of squared
+    norm sq_norm outside the range (elementwise)."""
+    return null_mass > (RANGE_RTOL**2) * sq_norm
+
+
 def mahalanobis_sq(v: np.ndarray, sigma: np.ndarray) -> float:
     """Squared Mahalanobis norm ``v^T sigma^{-1} v`` of a single vector.
 
-    ``sigma`` must be symmetric PSD. When sigma is singular the
-    pseudoinverse limit applies: vectors with a component outside
-    range(sigma) get ``+inf``; vectors inside the range (in particular the
-    zero vector) get ``v^T sigma^+ v``. Eigenvalues below
-    ``SINGULAR_RTOL * max_eig`` count as zero.
+    ``sigma`` must be symmetric PSD (NotPD otherwise). When sigma is
+    singular the pseudoinverse limit of range_mask applies: vectors with a
+    component outside range(sigma) get ``+inf``; vectors inside the range
+    (in particular the zero vector) get ``v^T sigma^+ v``.
     """
     v = np.asarray(v, dtype=float).reshape(-1)
     sigma = check_symmetric(sigma)
@@ -113,20 +133,11 @@ def mahalanobis_sq(v: np.ndarray, sigma: np.ndarray) -> float:
             f"vector of length {v.shape[0]} vs matrix of shape {sigma.shape}"
         )
     w, u = np.linalg.eigh(sigma)
-    if np.any(w < -SINGULAR_RTOL * max(float(w[-1]), 0.0) - 1e-300):
-        raise NotPD("sigma must be positive semidefinite")
-    top = float(w[-1]) if w.size else 0.0
-    if top <= 0.0:
-        # sigma == 0: only the zero vector lies in the range.
-        return 0.0 if not np.any(v) else float("inf")
-    keep = w > SINGULAR_RTOL * top
+    keep = range_mask(w)
     coords = u.T @ v
-    if not np.all(keep):
-        null_mass = float(np.sum(coords[~keep] ** 2))
-        if null_mass > (RANGE_RTOL * float(np.linalg.norm(v))) ** 2:
-            return float("inf")
-    kept = coords[keep]
-    return float(np.sum(kept**2 / w[keep]))
+    if outside_range(float(np.sum(coords[~keep] ** 2)), float(v @ v)):
+        return float("inf")
+    return float(np.sum(coords[keep] ** 2 / w[keep]))
 
 
 def sym_sqrt(a: np.ndarray) -> np.ndarray:
@@ -144,12 +155,12 @@ def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
     return (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
 
 
-def psd_sandwich_check(s1: np.ndarray, s2: np.ndarray, gamma: float, tol: float = 1e-9) -> bool:
+def psd_sandwich_check(s1: np.ndarray, s2: np.ndarray, gamma: float) -> bool:
     """Check ``(1-gamma) s1 <= s2 <= s1 / (1-gamma)`` in the PSD order.
 
     Both matrices must be symmetric positive definite and gamma in [0, 1).
     Conjugating by s1^{-1/2} reduces the check to eigenvalue bounds
-    ``1-gamma <= eig <= 1/(1-gamma)`` up to an absolute slack ``tol``.
+    ``1-gamma <= eig <= 1/(1-gamma)`` up to an absolute slack of 1e-9.
     """
     s1 = check_symmetric(s1)
     s2 = check_symmetric(s2)
@@ -160,7 +171,7 @@ def psd_sandwich_check(s1: np.ndarray, s2: np.ndarray, gamma: float, tol: float 
     root = sym_inv_sqrt(s1)
     conj = root @ s2 @ root
     w = np.linalg.eigvalsh((conj + conj.T) / 2.0)
-    return bool(w[0] >= (1.0 - gamma) - tol and w[-1] <= 1.0 / (1.0 - gamma) + tol)
+    return bool(w[0] >= (1.0 - gamma) - 1e-9 and w[-1] <= 1.0 / (1.0 - gamma) + 1e-9)
 
 
 def inverse_tracenorm_gap(a: np.ndarray) -> tuple[float, float]:

@@ -1,8 +1,7 @@
 """Privacy parameters, the size planner, and the propose-test-release gate's
 noise law and thresholds (the gate itself is ``samplers.ptr_check``).
 
-All logarithms are natural unless a caller overrides ``log_base`` on the
-planner; the gate itself always uses natural logs.
+All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -44,11 +43,7 @@ class PtrOutcome(enum.Enum):
     FAIL = "fail"
 
 
-def _log(x: float, base: float) -> float:
-    return math.log(x) if base == math.e else math.log(x) / math.log(base)
-
-
-def outlier_threshold(d: int, n: int, alpha: float, log_base: float = math.e) -> float:
+def outlier_threshold(d: int, n: int, alpha: float) -> float:
     """Squared-radius scale 4d + 8 sqrt(d L) + 8 L with L = log(3n/alpha).
 
     With n i.i.d. Gaussian rows, all squared Mahalanobis norms stay below a
@@ -58,30 +53,24 @@ def outlier_threshold(d: int, n: int, alpha: float, log_base: float = math.e) ->
         raise PreconditionViolated("d and n must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise PreconditionViolated(f"alpha must lie in (0, 1), got {alpha}")
-    big_l = _log(3.0 * n / alpha, log_base)
+    big_l = math.log(3.0 * n / alpha)
     return 4.0 * d + 8.0 * math.sqrt(d * big_l) + 8.0 * big_l
 
 
-def ladder_granularity(params: PrivacyParams, log_base: float = math.e) -> int:
+def ladder_granularity(params: PrivacyParams) -> int:
     """Ladder granularity k = ceil(6 log(6/delta) / epsilon) + 4."""
-    return math.ceil(6.0 * _log(6.0 / params.delta, log_base) / params.epsilon) + 4
+    return math.ceil(6.0 * math.log(6.0 / params.delta) / params.epsilon) + 4
 
 
-def reference_size(n: int, k: int, delta: float, log_base: float = math.e) -> int:
+def reference_size(n: int, k: int, delta: float) -> int:
     """Reference subset size 6k + ceil(18 log(16 n / delta))."""
-    return 6 * k + math.ceil(18.0 * _log(16.0 * n / delta, log_base))
+    return 6 * k + math.ceil(18.0 * math.log(16.0 * n / delta))
 
 
-def noise_multiplier_sq(
-    lambda0: float, params: PrivacyParams, n: int, log_base: float = math.e
-) -> float:
+def noise_multiplier_sq(lambda0: float, params: PrivacyParams, n: int) -> float:
     """Mean-estimator noise scale c^2 = 720 e^2 lambda0 log(12/delta) / (eps^2 n^2)."""
     return (
-        720.0
-        * E_SQ
-        * lambda0
-        * _log(12.0 / params.delta, log_base)
-        / (params.epsilon**2 * n**2)
+        720.0 * E_SQ * lambda0 * math.log(12.0 / params.delta) / (params.epsilon**2 * n**2)
     )
 
 
@@ -107,7 +96,6 @@ class SamplerPlan:
     c1: float
     c2: float
     c_sq: float
-    log_base: float = math.e
 
     @property
     def gamma(self) -> float:
@@ -127,7 +115,6 @@ def plan(
     d: int,
     c1: float = 1.0,
     c2: float = 1.0,
-    log_base: float = math.e,
 ) -> SamplerPlan:
     """Fixed-point size plan for the unbounded sampler.
 
@@ -144,14 +131,14 @@ def plan(
     if c1 <= 0.0 or c2 <= 0.0:
         raise PreconditionViolated("c1 and c2 must be positive")
     eps, delta = params.epsilon, params.delta
-    k = ladder_granularity(params, log_base)
-    budget = _log(1.0 / delta, log_base)
+    k = ladder_granularity(params)
+    budget = math.log(1.0 / delta)
 
     n = d + 2
     for _ in range(500):
-        lambda0 = outlier_threshold(d, n, alpha, log_base)
+        lambda0 = outlier_threshold(d, n, alpha)
         n2 = math.ceil(c2 * lambda0 * budget / eps)
-        m_ref = reference_size(n, k, delta, log_base)
+        m_ref = reference_size(n, k, delta)
         n1 = max(math.ceil(c1 * math.sqrt(lambda0) * budget / eps), m_ref)
         n_new = n1 + 2 * n2
         if n_new == n:
@@ -167,8 +154,7 @@ def plan(
                 ref_size=m_ref,
                 c1=c1,
                 c2=c2,
-                c_sq=noise_multiplier_sq(lambda0, params, n, log_base),
-                log_base=log_base,
+                c_sq=noise_multiplier_sq(lambda0, params, n),
             )
         n = n_new
     raise NoConvergence("size plan did not reach a fixed point")

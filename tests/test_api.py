@@ -29,7 +29,6 @@ PUBLIC = [
     "cov_aware_mean",
     "gate_leakage",
     "ladder_granularity",
-    "largest_core",
     "largest_good_subset",
     "noise_multiplier_sq",
     "outlier_threshold",

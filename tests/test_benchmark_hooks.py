@@ -1,8 +1,9 @@
 """The names the benchmark's traced run rebinds, checked in the main suite.
 
 perfbench wraps module-level names of dpgs (RELEASE_WRAPS, AUDIT_WRAPS) and
-every entry of audit.REGISTRY; a renamed or deleted hook would otherwise
-surface only when the benchmark runs.
+every entry of audit.REGISTRY, and counts the ``np.linalg.eigh`` calls made
+from the estimators module; a renamed or deleted hook, or an ``eigh`` moved
+to another module, would otherwise surface only when the benchmark runs.
 """
 
 import sys
@@ -12,9 +13,15 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-from perfbench import measure  # noqa: E402
+import numpy as np  # noqa: E402
 
-from dpgs import audit  # noqa: E402
+from perfbench import measure  # noqa: E402
+from perfbench.tracing import Tracer  # noqa: E402
+
+from dpgs import audit, estimators  # noqa: E402
+from dpgs.privacy import PrivacyParams, plan  # noqa: E402
+from dpgs.randomness import RngStream  # noqa: E402
+from dpgs.samplers import sample_known_cov, sample_unbounded  # noqa: E402
 
 
 def test_every_wrapped_name_exists_and_is_callable():
@@ -24,3 +31,22 @@ def test_every_wrapped_name_exists_and_is_callable():
 
 def test_registry_matches_the_benchmark_checks():
     assert set(audit.REGISTRY) == set(measure.AUDIT_CHECKS)
+
+
+def test_estimators_eigh_count_sees_the_ladder_and_the_neighbor_kernel():
+    # A clean d=1 release prunes nothing: one eigh for the whole ladder and
+    # one in neighbor_counts; the known-covariance release has no ladder.
+    sp = plan(0.2, PrivacyParams(1.0, 0.05), 1)
+    gen = np.random.default_rng(2024)
+    x = 3.0 + gen.standard_normal((sp.n, 1))
+    tracer = Tracer()
+    try:
+        tracer.count_numpy_calls(estimators, "linalg", "eigh", "estimators.eigh")
+        sample_unbounded(x, sp, RngStream(1, 1))
+        assert tracer.counts() == {"estimators.eigh": 2}
+        tracer.reset()
+        sample_known_cov(x[: sp.n1], sp, RngStream(1, 1))
+        assert tracer.counts() == {"estimators.eigh": 1}
+    finally:
+        tracer.restore()
+    assert estimators.np is np

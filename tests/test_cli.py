@@ -32,6 +32,15 @@ class TestPlan:
         assert doc["params"] == {"epsilon": 1.0, "delta": 0.05}
         assert "lambda0" in err and "ref_size" in err
 
+    def test_json_has_no_log_base(self, capsys):
+        _, out, _ = run_cli(capsys, "plan", *PLAN_ARGS)
+        assert "log_base" not in json.loads(out)
+
+    def test_log_base_flag_is_a_parse_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", *PLAN_ARGS, "--log-base", "2"])
+        assert exc.value.code == 2
+
     def test_rerun_is_byte_identical(self, capsys):
         _, out1, _ = run_cli(capsys, "plan", *PLAN_ARGS)
         _, out2, _ = run_cli(capsys, "plan", *PLAN_ARGS)
@@ -253,6 +262,17 @@ class TestAudit:
         code, _, err = run_cli(
             capsys, "audit", "--check", "score_sensitivity", "--trials", trials
         )
+        assert code == 2
+        assert "trials must be >= 1" in err
+
+    def test_grid_check_refuses_zero_trials(self, capsys, monkeypatch):
+        # density_lemmas runs a fixed grid and never reads trials, so the
+        # refusal has to come before any check runs
+        def never(*args, **kwargs):
+            raise AssertionError("density_lemmas ran")
+
+        monkeypatch.setitem(audit_mod.REGISTRY, "density_lemmas", never)
+        code, _, err = run_cli(capsys, "audit", "--check", "density_lemmas", "--trials", "0")
         assert code == 2
         assert "trials must be >= 1" in err
 

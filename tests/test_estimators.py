@@ -10,15 +10,15 @@ from dpgs import estimators
 from dpgs.estimators import (
     EstimatorConfig,
     _ladder_subset_sizes_and_counts,
-    _neighbor_counts,
-    largest_core,
     largest_good_subset,
+    neighbor_counts,
     pair_and_rescale,
     stable_cov,
     stable_mean,
 )
 from dpgs.exceptions import (
     EmptyReferenceSet,
+    NotPD,
     OddRowCount,
     PreconditionViolated,
 )
@@ -411,7 +411,7 @@ def test_neighbor_counts_match_dense_matrix(name, d):
                 lams += [scale * 1e-3, scale * 7.0]
             for lam in lams:
                 want = np.sum(dist <= lam, axis=1)
-                got = _neighbor_counts(x, ref, sigma, lam)
+                got = neighbor_counts(x, ref, sigma, lam)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (n, sigma_name, lam)
 
@@ -435,30 +435,40 @@ def test_certificate_skips_the_dense_matrix_on_clean_data(monkeypatch):
     # matrix decides, with the same counts as the reference.
     far = x + 1e12 * 2.0
     lam = math.e**2 * cfg.lambda0
-    got = _neighbor_counts(far, far[r], sigma, lam)
+    got = neighbor_counts(far, far[r], sigma, lam)
     assert calls == [(428, 1)]
     assert np.array_equal(got, np.sum(dense_mahalanobis_sq(far, far[r], sigma) <= lam, axis=1))
 
 
-def test_largest_core_counts_neighbors():
+def test_neighbor_counts_small_example():
     x = np.array([[0.0], [0.1], [10.0]])
-    r = np.array([0, 1])
-    kept = largest_core(x, np.eye(1), 1.0, 2, r)
-    assert kept.tolist() == [0, 1]
-    kept_loose = largest_core(x, np.eye(1), 1.0, 1, r)
-    assert kept_loose.tolist() == [0, 1]
-    kept_all = largest_core(x, np.eye(1), 200.0, 2, r)
-    assert kept_all.tolist() == [0, 1, 2]
+    ref = x[[0, 1]]
+    assert neighbor_counts(x, ref, np.eye(1), 1.0).tolist() == [2, 2, 0]
+    assert neighbor_counts(x, ref, np.eye(1), 200.0).tolist() == [2, 2, 2]
 
 
-def test_largest_core_rejects_bad_reference():
+def test_stable_mean_rejects_bad_reference():
     x = np.zeros((4, 1))
     with pytest.raises(EmptyReferenceSet):
-        largest_core(x, np.eye(1), 1.0, 1, np.array([], dtype=int))
+        stable_mean(x, np.eye(1), CFG, np.array([], dtype=int))
     with pytest.raises(PreconditionViolated):
-        largest_core(x, np.eye(1), 1.0, 1, np.array([0, 0]))
+        stable_mean(x, np.eye(1), CFG, np.array([0, 0]))
     with pytest.raises(PreconditionViolated):
-        largest_core(x, np.eye(1), 1.0, 1, np.array([4]))
+        stable_mean(x, np.eye(1), CFG, np.array([4]))
+
+
+@pytest.mark.parametrize("sigma", [-np.eye(2), np.diag([1.0, -1.0])])
+def test_stable_mean_rejects_sigma_that_is_not_psd(monkeypatch, sigma):
+    # -I is not the zero matrix, and the negative direction of diag(1, -1)
+    # is not null space: both raise before any pair is counted
+    def never(*args):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(estimators, "_certified_counts", never)
+    monkeypatch.setattr(estimators, "_pairwise_sq_euclid", never)
+    x = np.random.default_rng(31).standard_normal((40, 2))
+    with pytest.raises(NotPD):
+        stable_mean(x, sigma, CFG, np.arange(40))
 
 
 def test_stable_mean_identical_points():
@@ -503,11 +513,11 @@ def test_stable_mean_matches_explicit_core_sweep():
         x[:3] += rng.choice([0.0, 25.0]) * rng.standard_normal(2)
         r = np.sort(rng.choice(45, size=40, replace=False))
         sigma = np.cov(x.T) + 0.1 * np.eye(2)
-        out = stable_mean(x, sigma, cfg, r, core_lambda=lam)
+        out = stable_mean(x, sigma, cfg, r)
         counts = np.zeros(45, dtype=int)
         sizes = []
         for ell in range(2 * cfg.k + 1):
-            core = largest_core(x, sigma, lam, r.size - ell, r)
+            core = np.flatnonzero(neighbor_counts(x, x[r], sigma, lam) >= r.size - ell)
             sizes.append(core.size)
             if ell > cfg.k:
                 counts[core] += 1

@@ -52,11 +52,6 @@ def test_ladder_granularity_round_number():
     assert ladder_granularity(PrivacyParams(1.0, 6.0 * math.e**-6)) == 40
 
 
-def test_ladder_granularity_log_base_two():
-    p = PrivacyParams(1.0, 0.05)
-    assert ladder_granularity(p, log_base=2.0) == math.ceil(6 * math.log2(120)) + 4
-
-
 def test_outlier_threshold_value():
     val = outlier_threshold(4, 100, 0.3)
     assert val == pytest.approx(113.31421638991256, rel=1e-12)
