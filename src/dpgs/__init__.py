@@ -7,7 +7,6 @@ properties the design relies on.
 """
 
 from .audit import (
-    AdjacentPair,
     AuditReport,
     audit_cov_stability,
     audit_density_lemmas,
@@ -54,7 +53,6 @@ from .samplers import (
 )
 
 __all__ = [
-    "AdjacentPair",
     "AuditReport",
     "EstimatorConfig",
     "PrivacyParams",

@@ -9,8 +9,9 @@ back as AuditReport records that serialize to JSON lines plus a CSV summary.
 
 Exact structural checks count hard failures; statistical checks state a
 3-sigma Monte Carlo tolerance. Reports are a pure function of (config, seed):
-trials use per-index child streams and fold in index order, so thread fan-out
-cannot change a single byte of output.
+each check draws from its own stream, its trials from per-index child streams
+folded in index order, and run_checks returns reports in check order however
+many checks run at once.
 
 Two plan flavors drive the estimator audits. Full-formula plans keep every
 size tied to (alpha, epsilon, delta) but their stability radius gamma is far
@@ -143,38 +144,6 @@ def _verdict(failures: int, extra_ok: bool = True) -> str:
     return "pass" if failures == 0 and extra_ok else "fail"
 
 
-@dataclass(frozen=True)
-class AdjacentPair:
-    """A dataset and a one-row replacement describing its neighbor."""
-
-    base: np.ndarray
-    changed_row: int
-    replacement: np.ndarray
-
-    def __post_init__(self) -> None:
-        base = np.asarray(self.base, dtype=float)
-        repl = np.asarray(self.replacement, dtype=float).reshape(-1)
-        if base.ndim != 2:
-            raise PreconditionViolated(f"base must be 2-d, got shape {base.shape}")
-        if not 0 <= self.changed_row < base.shape[0]:
-            raise PreconditionViolated(
-                f"changed_row {self.changed_row} outside [0, {base.shape[0]})"
-            )
-        if repl.shape[0] != base.shape[1]:
-            raise PreconditionViolated(
-                f"replacement length {repl.shape[0]} != row dimension {base.shape[1]}"
-            )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "replacement", repl)
-
-    def datasets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pair (base, base with one row replaced); they differ in at most
-        one row (exactly one unless the replacement equals the original)."""
-        other = self.base.copy()
-        other[self.changed_row] = self.replacement
-        return self.base, other
-
-
 def relaxed_plan(d: int) -> SamplerPlan:
     """Smallest plan whose sizes meet the stability-lemma hypotheses.
 
@@ -220,26 +189,18 @@ def strict_plan(d: int = 1) -> SamplerPlan:
     return plan(0.2, AUDIT_PARAMS, d)
 
 
-def _map_trials(fn: Callable[[int], object], trials: int, threads: int) -> list:
-    """Run fn(0..trials-1), results in index order regardless of threads."""
-    if trials < 1:
-        raise PreconditionViolated(f"trials must be >= 1, got {trials}")
-    if threads <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
 def _fold(
-    one: Callable[[int], tuple[bool, bool, object]], trials: int, threads: int
+    one: Callable[[int], tuple[bool, bool, object]], trials: int
 ) -> tuple[int, int, list]:
-    """Run trials returning (qualifies, ok, value) and fold them.
+    """Run trials 0..trials-1 returning (qualifies, ok, value) and fold them.
 
     Returns the qualifying count, the failures (qualifying trials that are
     not ok) and the qualifying values in trial order.
     """
+    if trials < 1:
+        raise PreconditionViolated(f"trials must be >= 1, got {trials}")
     values, failures = [], 0
-    for qualifies, ok, value in _map_trials(one, trials, threads):
+    for qualifies, ok, value in map(one, range(trials)):
         if qualifies:
             values.append(value)
             failures += 0 if ok else 1
@@ -280,8 +241,9 @@ def _adjacent_trial(
     x = scale * gen.standard_normal(shape)
     row = int(gen.integers(lo, hi))
     kind = _REPLACEMENT_KINDS[i % len(_REPLACEMENT_KINDS)]
-    a, b = AdjacentPair(x, row, _make_replacement(gen, kind, x[row], scale)).datasets()
-    return gen, a, b, kind
+    b = x.copy()
+    b[row] = _make_replacement(gen, kind, x[row], scale)
+    return gen, x, b, kind
 
 
 def _estimate(x: np.ndarray, sp: SamplerPlan, ref: np.ndarray) -> tuple:
@@ -298,7 +260,6 @@ def audit_score_sensitivity(
     plans: Sequence[SamplerPlan],
     rng: RngStream,
     mode: str = "relaxed",
-    threads: int = 1,
 ) -> AuditReport:
     """Adjacent datasets move the released max score by at most 2.
 
@@ -321,7 +282,7 @@ def audit_score_sensitivity(
         diff = abs(score(a, sp, ref) - score(b, sp, ref))
         return True, diff <= 2 and (kind != "identical" or diff == 0), diff
 
-    _, failures, diffs = _fold(one, trials, threads)
+    _, failures, diffs = _fold(one, trials)
     diffs = np.array(diffs, dtype=float)
     kinds = [_REPLACEMENT_KINDS[i % len(_REPLACEMENT_KINDS)] for i in range(trials)]
     met = all(
@@ -359,7 +320,6 @@ def audit_cov_stability(
     sp: SamplerPlan,
     rng: RngStream,
     mode: str = "relaxed",
-    threads: int = 1,
 ) -> AuditReport:
     """Adjacent low-score covariance estimates sandwich each other.
 
@@ -396,7 +356,7 @@ def audit_cov_stability(
             )
         return True, ok, gap
 
-    qualifying, failures, gaps = _fold(one, trials, threads)
+    qualifying, failures, gaps = _fold(one, trials)
     gaps = [g for g in gaps if math.isfinite(g)]
     stats_out = {
         "qualifying": float(qualifying),
@@ -440,7 +400,6 @@ def audit_mean_stability(
     sp: SamplerPlan,
     rng: RngStream,
     mode: str = "relaxed",
-    threads: int = 1,
 ) -> AuditReport:
     """Adjacent low-score mean estimates stay within the Mahalanobis budget.
 
@@ -483,7 +442,7 @@ def audit_mean_stability(
         ok = observed <= bound * (1.0 + 1e-9) if hypothesis_met else True
         return True, ok, observed / bound
 
-    qualifying, failures, ratios = _fold(one, trials, threads)
+    qualifying, failures, ratios = _fold(one, trials)
     stats_out = {
         "qualifying": float(qualifying),
         "non_qualifying": float(trials - qualifying),
@@ -512,7 +471,6 @@ def audit_utility_events(
     mu: np.ndarray | None = None,
     sigma: np.ndarray | None = None,
     check_id: str = "utility_events",
-    threads: int = 1,
 ) -> AuditReport:
     """Clean-data event: all rows in-radius implies uniform weights exactly.
 
@@ -571,7 +529,7 @@ def audit_utility_events(
                 )
         return True, implication, (event, uniform)
 
-    _, failures, events = _fold(one, trials, threads)
+    _, failures, events = _fold(one, trials)
     p_event = sum(1 for e, _ in events if e) / trials
     p_uniform = sum(1 for _, u in events if u) / trials
     required = 1.0 - sp.alpha - 0.05
@@ -721,7 +679,6 @@ def audit_matrix_bounds(
     d: int,
     rng: RngStream,
     mode: str = "relaxed",
-    threads: int = 1,
 ) -> AuditReport:
     """Trace, spectral and Frobenius bounds for the projection-gap matrix.
 
@@ -773,7 +730,7 @@ def audit_matrix_bounds(
         )
         return True, ok, (ratio, trace_a)
 
-    _, failures, results = _fold(one, trials, threads)
+    _, failures, results = _fold(one, trials)
     stats_out = {
         "min_corollary_ratio": min(r[0] for r in results),
         "required_ratio": required_ratio,
@@ -962,7 +919,6 @@ def audit_end_to_end(
     rng: RngStream,
     mode: str = "strict",
     smoke_trials: int | None = None,
-    threads: int = 1,
 ) -> AuditReport:
     """Output law against the truth, plus an informational privacy smoke run.
 
@@ -1000,7 +956,7 @@ def audit_end_to_end(
             out.append(None if res.failed else float(res.value[0]))
         return out
 
-    per_trial = _map_trials(one, trials, threads)
+    per_trial = [one(i) for i in range(trials)]
 
     (mu0, var0), (mu1, var1) = settings
     equiv_worst = 0.0
@@ -1036,10 +992,10 @@ def audit_end_to_end(
     n_smoke = trials if smoke_trials is None else int(smoke_trials)
     if n_smoke > 0 and not insufficient:
         gen = rng.child(42).generator()
-        base = gen.standard_normal((sp.n, sp.d))
+        a = gen.standard_normal((sp.n, sp.d))
         row = int(gen.integers(sp.n1, sp.n))
-        pair = AdjacentPair(base, row, _make_replacement(gen, "far", base[row], 1.0))
-        a, b = pair.datasets()
+        b = a.copy()
+        b[row] = _make_replacement(gen, "far", a[row], 1.0)
 
         def smoke_one(i: int) -> tuple[float | None, float | None]:
             stream = rng.child(5_000_000 + i)  # coupled: both runs share it
@@ -1049,7 +1005,7 @@ def audit_end_to_end(
             zb = None if res_b.failed else float(res_b.value[0])
             return za, zb
 
-        smoke = _map_trials(smoke_one, n_smoke, threads)
+        smoke = [smoke_one(i) for i in range(n_smoke)]
         za = np.array([s[0] for s in smoke if s[0] is not None])
         zb = np.array([s[1] for s in smoke if s[1] is not None])
         if za.size and zb.size:
@@ -1088,76 +1044,68 @@ _CHECKS = {
 }
 
 
-def _run_score_sensitivity(trials: int, mode: str, seed: int, threads: int):
+def _run_score_sensitivity(trials: int, mode: str, seed: int):
     rng = RngStream(seed, _CHECKS["score_sensitivity"][0])
     if mode == "relaxed":
         plans = [relaxed_plan(d) for d in range(1, 6)]
     else:
         plans = [strict_plan(1)]
-    return [audit_score_sensitivity(trials, plans, rng, mode=mode, threads=threads)]
+    return [audit_score_sensitivity(trials, plans, rng, mode=mode)]
 
 
-def _run_cov_stability(trials: int, mode: str, seed: int, threads: int):
+def _run_cov_stability(trials: int, mode: str, seed: int):
     rng = RngStream(seed, _CHECKS["cov_stability"][0])
     sp = relaxed_plan(3) if mode == "relaxed" else strict_plan(1)
-    return [audit_cov_stability(trials, sp, rng, mode=mode, threads=threads)]
+    return [audit_cov_stability(trials, sp, rng, mode=mode)]
 
 
-def _run_mean_stability(trials: int, mode: str, seed: int, threads: int):
+def _run_mean_stability(trials: int, mode: str, seed: int):
     rng = RngStream(seed, _CHECKS["mean_stability"][0])
     sp = relaxed_plan(3) if mode == "relaxed" else strict_plan(1)
-    return [audit_mean_stability(trials, sp, rng, mode=mode, threads=threads)]
+    return [audit_mean_stability(trials, sp, rng, mode=mode)]
 
 
-def _run_utility_events(trials: int, mode: str, seed: int, threads: int):
+def _run_utility_events(trials: int, mode: str, seed: int):
     base = RngStream(seed, _CHECKS["utility_events"][0])
-    reports = []
-    for j, d in enumerate((1, 2, 4)):
-        sp = strict_plan(d)
-        reports.append(
-            audit_utility_events(
-                trials, sp, base.child(j), mode=mode,
-                check_id=f"utility_events.d{d}", threads=threads,
-            )
+    reports = [
+        audit_utility_events(
+            trials, strict_plan(d), base.child(j), mode=mode, check_id=f"utility_events.d{d}"
         )
-    sp2 = strict_plan(2)
+        for j, d in enumerate((1, 2, 4))
+    ]
     reports.append(
         audit_utility_events(
-            trials, sp2, base.child(9), mode=mode,
+            trials, strict_plan(2), base.child(9), mode=mode,
             mu=np.array([3.0, -7.0]), sigma=np.diag([1.0, 100.0]),
-            check_id="utility_events.scaled", threads=threads,
+            check_id="utility_events.scaled",
         )
     )
     return reports
 
 
-def _run_density_lemmas(trials: int, mode: str, seed: int, threads: int):
+def _run_density_lemmas(trials: int, mode: str, seed: int):
     return [audit_density_lemmas(RngStream(seed, _CHECKS["density_lemmas"][0]), mode=mode)]
 
 
-def _run_matrix_bounds(trials: int, mode: str, seed: int, threads: int):
+def _run_matrix_bounds(trials: int, mode: str, seed: int):
     base = RngStream(seed, _CHECKS["matrix_bounds"][0])
     return [
-        audit_matrix_bounds(trials, d, base.child(j), mode=mode, threads=threads)
+        audit_matrix_bounds(trials, d, base.child(j), mode=mode)
         for j, d in enumerate((2, 3, 5))
     ]
 
 
-def _run_tail_facts(trials: int, mode: str, seed: int, threads: int):
+def _run_tail_facts(trials: int, mode: str, seed: int):
     return [audit_tail_facts(trials, RngStream(seed, _CHECKS["tail_facts"][0]), mode=mode)]
 
 
-def _run_end_to_end(trials: int, mode: str, seed: int, threads: int):
+def _run_end_to_end(trials: int, mode: str, seed: int):
     rng = RngStream(seed, _CHECKS["end_to_end"][0])
     sp = strict_plan(1)
-    return [
-        audit_end_to_end(
-            sp, trials, rng, mode=mode, smoke_trials=min(trials, 500), threads=threads
-        )
-    ]
+    return [audit_end_to_end(sp, trials, rng, mode=mode, smoke_trials=min(trials, 500))]
 
 
-REGISTRY: dict[str, Callable[[int, str, int, int], list[AuditReport]]] = {
+REGISTRY: dict[str, Callable[[int, str, int], list[AuditReport]]] = {
     "score_sensitivity": _run_score_sensitivity,
     "cov_stability": _run_cov_stability,
     "mean_stability": _run_mean_stability,
@@ -1179,10 +1127,13 @@ def run_checks(
     """Run named audit checks (or all of them) and return their reports.
 
     trials overrides every check's default count; None keeps per-check
-    defaults. Reports come back in registry order and are byte-stable for
-    a fixed (checks, mode, seed, trials) tuple. A mode other than relaxed
-    or strict, a trial count below 1 or an unknown check is refused before
-    any check runs.
+    defaults. With threads > 1, up to that many checks run at once, each
+    on one thread; a check's own trials always run serially (fanning them
+    out over threads ran slower than serial). Reports come back in the
+    order the checks are named (registry order for "all"), byte-stable for
+    a fixed (checks, mode, seed, trials) tuple whatever threads is. A mode
+    other than relaxed or strict, a trial count below 1 or an unknown
+    check is refused before any check runs.
     """
     if mode not in ("relaxed", "strict"):
         raise PreconditionViolated(f"mode must be 'relaxed' or 'strict', got {mode!r}")
@@ -1194,8 +1145,13 @@ def run_checks(
             raise PreconditionViolated(
                 f"unknown check {name!r}; valid: {', '.join(REGISTRY)} or 'all'"
             )
-    reports: list[AuditReport] = []
-    for name in names:
-        n = _CHECKS[name][1] if trials is None else trials
-        reports.extend(REGISTRY[name](n, mode, seed, threads))
-    return reports
+
+    def run(name: str) -> list[AuditReport]:
+        return REGISTRY[name](_CHECKS[name][1] if trials is None else trials, mode, seed)
+
+    if threads <= 1 or len(names) < 2:
+        batches = [run(name) for name in names]
+    else:
+        with ThreadPoolExecutor(max_workers=min(threads, len(names))) as pool:
+            batches = list(pool.map(run, names))
+    return [report for batch in batches for report in batch]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -76,7 +77,13 @@ def _plan_from(args: argparse.Namespace):
 
 
 def _load_csv(path: str, dim: int) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError:
+        # numpy's message quotes the offending cell, a data value
+        raise InvalidParams(
+            f"{path} is malformed: a cell is not a number or the rows differ in length"
+        ) from None
     if data.shape[1] != dim:
         raise InvalidParams(
             f"{path} has {data.shape[1]} columns, expected dim={dim}"
@@ -84,8 +91,19 @@ def _load_csv(path: str, dim: int) -> np.ndarray:
     return data
 
 
+def _parse_numbers(text: str, what: str) -> list[float]:
+    """Comma-separated finite numbers, or InvalidParams naming ``what``."""
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidParams(f"{what} must be comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidParams(f"{what} must be finite, got {text!r}")
+    return values
+
+
 def _parse_vector(text: str, d: int) -> np.ndarray:
-    vec = np.array([float(v) for v in text.split(",")], dtype=float)
+    vec = np.array(_parse_numbers(text, "mean"), dtype=float)
     if vec.size == 1 and d > 1:
         vec = np.full(d, vec[0])
     if vec.size != d:
@@ -94,7 +112,9 @@ def _parse_vector(text: str, d: int) -> np.ndarray:
 
 
 def _parse_matrix(text: str, d: int) -> np.ndarray:
-    rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
+    rows = [_parse_numbers(row, "covariance") for row in text.split(";")]
+    if len({len(row) for row in rows}) != 1:
+        raise InvalidParams(f"covariance rows differ in length, got {text!r}")
     mat = np.array(rows, dtype=float)
     if mat.size == 1:
         return float(mat.reshape(())) * np.eye(d)
@@ -246,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("--mode", choices=("relaxed", "strict"), default="relaxed")
     p_audit.add_argument("--seed", type=int)
     p_audit.add_argument(
-        "--threads", type=_thread_count, default=1, help="worker threads, 1..cpu_count"
+        "--threads", type=_thread_count, default=1,
+        help="checks run at once, 1..cpu_count; each check's trials run on one thread",
     )
     p_audit.add_argument("--out")
     p_audit.add_argument("--summary", help="also write the CSV summary here")

@@ -39,8 +39,11 @@ class EstimatorConfig:
     k: int
 
     def __post_init__(self) -> None:
-        if not self.lambda0 >= 1.0:
-            raise PreconditionViolated(f"lambda0 must be >= 1, got {self.lambda0}")
+        # e^2 lambda0 is the top ladder rung and stable_mean's neighbor radius
+        if not (self.lambda0 >= 1.0 and math.isfinite(math.e**2 * self.lambda0)):
+            raise PreconditionViolated(
+                f"lambda0 must be >= 1 with e^2 lambda0 finite, got {self.lambda0}"
+            )
         if not self.k >= 5:
             raise PreconditionViolated(f"k must be >= 5, got {self.k}")
 

@@ -69,9 +69,10 @@ def reference_size(n: int, k: int, delta: float) -> int:
 
 def noise_multiplier_sq(lambda0: float, params: PrivacyParams, n: int) -> float:
     """Mean-estimator noise scale c^2 = 720 e^2 lambda0 log(12/delta) / (eps^2 n^2)."""
-    return (
-        720.0 * E_SQ * lambda0 * math.log(12.0 / params.delta) / (params.epsilon**2 * n**2)
-    )
+    c_sq = 720.0 * E_SQ * lambda0 * math.log(12.0 / params.delta) / (params.epsilon**2 * n**2)
+    if not math.isfinite(c_sq):
+        raise InvalidParams(f"noise scale c^2 overflows at lambda0={lambda0}, n={n}")
+    return c_sq
 
 
 @dataclass(frozen=True)
@@ -128,35 +129,39 @@ def plan(
         raise PreconditionViolated("d must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise PreconditionViolated(f"alpha must lie in (0, 1), got {alpha}")
-    if c1 <= 0.0 or c2 <= 0.0:
-        raise PreconditionViolated("c1 and c2 must be positive")
+    if not (0.0 < c1 < math.inf and 0.0 < c2 < math.inf):
+        raise PreconditionViolated(f"c1 and c2 must be finite and positive, got {c1}, {c2}")
     eps, delta = params.epsilon, params.delta
     k = ladder_granularity(params)
     budget = math.log(1.0 / delta)
 
     n = d + 2
-    for _ in range(500):
-        lambda0 = outlier_threshold(d, n, alpha)
-        n2 = math.ceil(c2 * lambda0 * budget / eps)
-        m_ref = reference_size(n, k, delta)
-        n1 = max(math.ceil(c1 * math.sqrt(lambda0) * budget / eps), m_ref)
-        n_new = n1 + 2 * n2
-        if n_new == n:
-            return SamplerPlan(
-                alpha=alpha,
-                d=d,
-                params=params,
-                lambda0=lambda0,
-                n1=n1,
-                n2=n2,
-                n=n,
-                k=k,
-                ref_size=m_ref,
-                c1=c1,
-                c2=c2,
-                c_sq=noise_multiplier_sq(lambda0, params, n),
-            )
-        n = n_new
+    try:
+        for _ in range(500):
+            lambda0 = outlier_threshold(d, n, alpha)
+            n2 = math.ceil(c2 * lambda0 * budget / eps)
+            m_ref = reference_size(n, k, delta)
+            n1 = max(math.ceil(c1 * math.sqrt(lambda0) * budget / eps), m_ref)
+            n_new = n1 + 2 * n2
+            if n_new == n:
+                return SamplerPlan(
+                    alpha=alpha,
+                    d=d,
+                    params=params,
+                    lambda0=lambda0,
+                    n1=n1,
+                    n2=n2,
+                    n=n,
+                    k=k,
+                    ref_size=m_ref,
+                    c1=c1,
+                    c2=c2,
+                    c_sq=noise_multiplier_sq(lambda0, params, n),
+                )
+            n = n_new
+    except OverflowError as exc:
+        # a size (or n**2 in the noise scale) beyond float range
+        raise InvalidParams(f"plan sizes overflow at c1={c1}, c2={c2}") from exc
     raise NoConvergence("size plan did not reach a fixed point")
 
 

@@ -7,7 +7,6 @@ or renaming a public name is always a deliberate, reviewed step.
 import dpgs
 
 PUBLIC = [
-    "AdjacentPair",
     "AuditReport",
     "EstimatorConfig",
     "PrivacyParams",

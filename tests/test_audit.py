@@ -1,19 +1,16 @@
 """Audit harness: report plumbing, plan shapes, and each check at small sizes."""
 
 import json
-import math
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dpgs.audit as audit_mod
 from dpgs.audit import (
     END_TO_END_MIN_TRIALS,
     REGISTRY,
     TAIL_FACTS_MIN_DRAWS,
-    AdjacentPair,
     AuditReport,
     audit_cov_stability,
     audit_density_lemmas,
@@ -36,47 +33,6 @@ from dpgs.samplers import SampleResult
 
 PLAN3 = relaxed_plan(3)
 STRICT1 = strict_plan(1)
-
-
-class TestAdjacentPair:
-    def test_datasets_differ_in_one_row(self):
-        base = np.arange(12.0).reshape(4, 3)
-        pair = AdjacentPair(base, 2, np.array([9.0, 9.0, 9.0]))
-        a, b = pair.datasets()
-        assert np.array_equal(a, base)
-        diff_rows = np.nonzero(np.any(a != b, axis=1))[0]
-        assert list(diff_rows) == [2]
-
-    def test_identical_replacement_allowed(self):
-        base = np.arange(6.0).reshape(3, 2)
-        pair = AdjacentPair(base, 1, base[1])
-        a, b = pair.datasets()
-        assert np.array_equal(a, b)
-
-    def test_bad_row_index(self):
-        base = np.zeros((3, 2))
-        with pytest.raises(PreconditionViolated):
-            AdjacentPair(base, 3, np.zeros(2))
-        with pytest.raises(PreconditionViolated):
-            AdjacentPair(base, -1, np.zeros(2))
-
-    def test_bad_replacement_length(self):
-        with pytest.raises(PreconditionViolated):
-            AdjacentPair(np.zeros((3, 2)), 0, np.zeros(3))
-
-    @given(
-        n=st.integers(2, 6),
-        d=st.integers(1, 3),
-        row=st.integers(0, 5),
-        fill=st.floats(-1e6, 1e6, allow_nan=False),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_neighbor_property(self, n, d, row, fill):
-        row = row % n
-        base = np.zeros((n, d))
-        pair = AdjacentPair(base, row, np.full(d, fill))
-        a, b = pair.datasets()
-        assert int(np.sum(np.any(a != b, axis=1))) <= 1
 
 
 class TestPlans:
@@ -126,7 +82,7 @@ class TestReportPlumbing:
         b = run_checks(["density_lemmas"], seed=31)
         assert reports_to_json_lines(a) == reports_to_json_lines(b)
 
-    # every check that fans trials out over threads, at small trial counts
+    # each check beside density_lemmas, so that it runs on a pool thread
     @pytest.mark.parametrize(
         "name, trials",
         [
@@ -139,9 +95,51 @@ class TestReportPlumbing:
         ],
     )
     def test_run_checks_threads_match_serial(self, name, trials):
-        a = run_checks([name], seed=5, trials=trials, threads=1)
-        b = run_checks([name], seed=5, trials=trials, threads=3)
+        a = run_checks([name, "density_lemmas"], seed=5, trials=trials, threads=1)
+        b = run_checks([name, "density_lemmas"], seed=5, trials=trials, threads=2)
         assert reports_to_json_lines(a) == reports_to_json_lines(b)
+
+    def test_run_checks_batch_is_byte_identical_at_any_thread_count(self):
+        names = ["score_sensitivity", "cov_stability", "mean_stability",
+                 "utility_events", "density_lemmas", "matrix_bounds", "end_to_end"]
+        texts = {
+            threads: reports_to_json_lines(
+                run_checks(names, seed=5, trials=END_TO_END_MIN_TRIALS, threads=threads)
+            )
+            for threads in (1, 2, 8)
+        }
+        assert texts[1] == texts[2] == texts[8]
+
+    def test_run_checks_keeps_check_order_when_checks_finish_in_reverse(
+        self, monkeypatch
+    ):
+        names = list(REGISTRY)[:4]
+        done = {name: threading.Event() for name in names}
+
+        def builder(name, later):
+            def run(trials, mode, seed):
+                # wait for the next check to finish first; a timeout, not a
+                # hang, if the checks do not run at once
+                assert later is None or done[later].wait(timeout=10.0)
+                done[name].set()
+                return [AuditReport(name, mode, trials, 0, {}, "pass", seed)]
+
+            return run
+
+        for name, later in zip(names, names[1:] + [None]):
+            monkeypatch.setitem(REGISTRY, name, builder(name, later))
+        reports = run_checks(names, seed=3, trials=1, threads=len(names))
+        assert [r.check_id for r in reports] == names
+
+    def test_run_checks_raises_the_serial_error_from_the_pool(self):
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(PreconditionViolated) as exc:
+                run_checks(["matrix_bounds", "end_to_end"], seed=5, trials=10,
+                           threads=threads)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert f"at least {END_TO_END_MIN_TRIALS} trials" in errors[0]
 
     def test_run_checks_unknown_name(self):
         with pytest.raises(PreconditionViolated):

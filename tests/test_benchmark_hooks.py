@@ -4,8 +4,11 @@ perfbench wraps module-level names of dpgs (RELEASE_WRAPS, AUDIT_WRAPS) and
 every entry of audit.REGISTRY, and counts the ``np.linalg.eigh`` calls made
 from the estimators module; a renamed or deleted hook, or an ``eigh`` moved
 to another module, would otherwise surface only when the benchmark runs.
+Each workload's audit batch also runs here, which pins the
+``run_checks(..., threads=...)`` call the benchmark makes.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import numpy as np  # noqa: E402
 
 from perfbench import measure  # noqa: E402
 from perfbench.tracing import Tracer  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
 
 from dpgs import audit, estimators  # noqa: E402
 from dpgs.privacy import PrivacyParams, plan  # noqa: E402
@@ -50,3 +54,17 @@ def test_estimators_eigh_count_sees_the_ladder_and_the_neighbor_kernel():
     finally:
         tracer.restore()
     assert estimators.np is np
+
+
+def test_every_workload_audit_batch_passes():
+    # audit-mc narrowed to two quick checks; with audit_threads None it
+    # still hands run_checks every CPU, so the pool runs on >= 2 CPUs
+    for wl in WORKLOADS.values():
+        if wl.name == "audit-mc":
+            wl = dataclasses.replace(
+                wl, audit_checks=("matrix_bounds", "density_lemmas"), audit_trials=12
+            )
+        tally = measure.Tally()
+        _, text = measure.audit_batch(wl, 11, tally)
+        assert tally.failed == 0, (wl.name, tally.notes)
+        assert text

@@ -199,6 +199,61 @@ class TestMean:
         assert "lambda0" in err
 
 
+    @pytest.mark.parametrize("lambda0", ["inf", "1e308", "1e306"])
+    def test_lambda0_that_overflows_exits_two(self, capsys, dataset, lambda0):
+        code, out, err = run_cli(
+            capsys, "mean", "--epsilon", "1", "--delta", "0.05", "--dim", "1",
+            "--lambda0", lambda0, "--in", str(dataset),
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+
+class TestMalformedNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "5", "--dim", "1", "--mu", "abc"],
+            ["gen", "--n", "5", "--dim", "2", "--sigma", "1,2;3"],
+            ["gen", "--n", "5", "--dim", "2", "--sigma", "1,x;0,1"],
+            ["gen", "--n", "5", "--dim", "1", "--mu", "inf"],
+            ["gen", "--n", "5", "--dim", "2", "--mu", "1,nan"],
+            ["gen", "--n", "5", "--dim", "1", "--sigma", "inf"],
+            ["plan", *PLAN_ARGS, "--c1", "nan"],
+            ["plan", *PLAN_ARGS, "--c2", "inf"],
+            ["plan", *PLAN_ARGS, "--c1", "1e300"],
+        ],
+        ids=lambda argv: " ".join(argv[-2:]),
+    )
+    def test_argument_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["sample", "mean"])
+    @pytest.mark.parametrize(
+        "body, cell",
+        [("0.5,1.25\n0.75,foo\n", "foo"), ("0.5,1.25\n0.75\n", "0.75")],
+        ids=["non-numeric", "ragged"],
+    )
+    def test_malformed_csv_exits_two_without_the_cell(
+        self, capsys, tmp_path, command, body, cell
+    ):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2\n" + body)
+        args = {
+            "sample": ["--alpha", "0.2", "--epsilon", "1", "--delta", "0.05"],
+            "mean": ["--epsilon", "1", "--delta", "0.05", "--lambda0", "20"],
+        }[command]
+        code, out, err = run_cli(capsys, command, *args, "--dim", "2", "--in", str(path))
+        assert code == 2
+        assert out == ""
+        assert str(path) in err and "malformed" in err
+        assert cell not in err
+
+
 class TestAudit:
     def test_passing_check(self, capsys, tmp_path):
         out = tmp_path / "r.jsonl"
@@ -277,7 +332,7 @@ class TestAudit:
         assert "trials must be >= 1" in err
 
     def test_failing_verdict_exits_one(self, capsys, monkeypatch):
-        def fake(trials, mode, seed, threads):
+        def fake(trials, mode, seed):
             return [AuditReport("density_lemmas", mode, 1, 1, {}, "fail", seed)]
 
         monkeypatch.setitem(audit_mod.REGISTRY, "density_lemmas", fake)

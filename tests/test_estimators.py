@@ -32,6 +32,11 @@ def test_config_validation():
         EstimatorConfig(lambda0=0.5, k=5)
     with pytest.raises(PreconditionViolated):
         EstimatorConfig(lambda0=4.0, k=4)
+    # e^2 lambda0, the top rung, overflows
+    for lambda0 in (math.inf, 1e308):
+        with pytest.raises(PreconditionViolated, match="e\\^2 lambda0 finite"):
+            EstimatorConfig(lambda0=lambda0, k=5)
+    assert np.all(np.isfinite(EstimatorConfig(lambda0=1e307, k=5).thresholds()))
 
 
 def test_thresholds_ladder():

@@ -125,6 +125,28 @@ def test_plan_c2_scales_n2():
     assert bumped.n2 >= 2 * base.n2 - 4  # lambda0 shifts slightly with n
 
 
+@pytest.mark.parametrize(
+    "c1, c2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+               (0.0, 1.0), (1.0, -2.0)],
+)
+def test_plan_rejects_constants_that_are_not_finite_and_positive(c1, c2):
+    with pytest.raises(PreconditionViolated, match="finite and positive"):
+        plan(0.2, PrivacyParams(1.0, 0.05), 1, c1=c1, c2=c2)
+
+
+@pytest.mark.parametrize("c1, c2", [(1e300, 1.0), (1.0, 1e300), (1.0, 1e150), (1e308, 1e308)])
+def test_plan_sizes_that_overflow_raise_invalid_params(c1, c2):
+    with pytest.raises(InvalidParams, match="overflow"):
+        plan(0.2, PrivacyParams(1.0, 0.05), 1, c1=c1, c2=c2)
+
+
+def test_noise_multiplier_that_overflows_raises():
+    p = PrivacyParams(1.0, 0.05)
+    assert math.isfinite(noise_multiplier_sq(1e300, p, 2000))
+    with pytest.raises(InvalidParams, match="overflows"):
+        noise_multiplier_sq(1e306, p, 2000)
+
+
 def test_plan_to_dict_round_trips_scalars():
     sp = plan(0.3, PrivacyParams(0.5, 0.01), 2)
     d = sp.to_dict()

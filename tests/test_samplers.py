@@ -5,7 +5,13 @@ import pytest
 from scipy import stats
 
 from dpgs.estimators import EstimatorConfig, stable_cov, stable_mean
-from dpgs.exceptions import NonFiniteInput, PreconditionViolated, ShapeMismatch, SubsetTooLarge
+from dpgs.exceptions import (
+    InvalidParams,
+    NonFiniteInput,
+    PreconditionViolated,
+    ShapeMismatch,
+    SubsetTooLarge,
+)
 from dpgs.linalg import sym_sqrt
 from dpgs.privacy import PrivacyParams, PtrOutcome, plan
 from dpgs.randomness import RngStream
@@ -58,12 +64,20 @@ def test_non_finite_input_rejected_before_any_draw(bad):
         sample_known_cov(xk, PLAN2, UntouchedStream(0))
 
 
-@pytest.mark.parametrize("lambda0", [0.5, np.nan])
+# inf and 1e308: e^2 lambda0, the top ladder rung, overflows
+@pytest.mark.parametrize("lambda0", [0.5, np.nan, np.inf, 1e308])
 def test_bad_lambda0_rejected_before_any_draw(lambda0):
     x = gaussian_data(np.random.default_rng(98), PLAN2.n, [1.0, 2.0], np.eye(2))
     for split_n1 in (None, PLAN2.n1):
         with pytest.raises(PreconditionViolated, match="lambda0 must be >= 1"):
             cov_aware_mean(x, PLAN2.params, lambda0, UntouchedStream(0), split_n1=split_n1)
+
+
+@pytest.mark.parametrize("lambda0", [1e306, 1e307])
+def test_lambda0_whose_noise_scale_overflows_rejected_before_any_draw(lambda0):
+    x = gaussian_data(np.random.default_rng(98), PLAN2.n, [1.0, 2.0], np.eye(2))
+    with pytest.raises(InvalidParams, match="noise scale"):
+        cov_aware_mean(x, PLAN2.params, lambda0, UntouchedStream(0))
 
 
 def test_unbounded_deterministic_replay():
