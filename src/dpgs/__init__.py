@@ -2,26 +2,12 @@
 
 The package provides replacement-stable covariance/mean estimators, a
 propose-test-release gate, private sampling pipelines built from them, and
-a numerical audit harness that checks the stability, utility and privacy
-properties the design relies on.
+a numerical audit harness (imported, with scipy, on first use) that checks
+the stability, utility and privacy properties the design relies on.
 """
 
-from .audit import (
-    AuditReport,
-    audit_cov_stability,
-    audit_density_lemmas,
-    audit_end_to_end,
-    audit_matrix_bounds,
-    audit_mean_stability,
-    audit_score_sensitivity,
-    audit_tail_facts,
-    audit_utility_events,
-    relaxed_plan,
-    reports_to_csv,
-    reports_to_json_lines,
-    run_checks,
-    strict_plan,
-)
+import importlib
+
 from .estimators import (
     EstimatorConfig,
     WeightedCovOutput,
@@ -94,3 +80,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import ``dpgs.audit``, and scipy with it, on first use (PEP 562)."""
+    # every other name in __all__ is bound above, so one that reaches here is the audit's
+    if name not in __all__ and name not in ("audit", "divergences"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    audit = importlib.import_module(".audit", __name__)
+    if name in __all__:
+        globals()[name] = getattr(audit, name)
+    return globals()[name]

@@ -23,10 +23,10 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
-from .audit import REGISTRY, reports_to_csv, reports_to_json_lines, run_checks
 from .exceptions import DpgsError, InvalidParams, NotPD
 from .privacy import PrivacyParams, plan
 from .randomness import RngStream
@@ -78,12 +78,16 @@ def _plan_from(args: argparse.Namespace):
 
 def _load_csv(path: str, dim: int) -> np.ndarray:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "no data"; refused below
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError:
         # numpy's message quotes the offending cell, a data value
         raise InvalidParams(
             f"{path} is malformed: a cell is not a number or the rows differ in length"
         ) from None
+    if data.shape[0] == 0:
+        raise InvalidParams(f"{path} has no data rows")
     if data.shape[1] != dim:
         raise InvalidParams(
             f"{path} has {data.shape[1]} columns, expected dim={dim}"
@@ -144,17 +148,19 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     d = args.dim
-    if args.n < 1:
-        raise InvalidParams(f"n must be >= 1, got {args.n}")
+    if args.n < 1 or d < 1:
+        raise InvalidParams(f"n and dim must be >= 1, got n={args.n}, dim={d}")
     mu = _parse_vector(args.mu, d)
     sigma = _parse_matrix(args.sigma, d)
-    sigma = 0.5 * (sigma + sigma.T)
+    sigma = 0.5 * sigma + 0.5 * sigma.T  # halve first: sigma + sigma.T can overflow
     eigs = np.linalg.eigvalsh(sigma)
     if eigs[0] <= 0.0:
         raise NotPD(f"covariance is not positive definite (min eigenvalue {eigs[0]:.3g})")
     chol = np.linalg.cholesky(sigma)
     gen = RngStream(_resolve_seed(args.seed), 0).generator()
     x = mu + gen.standard_normal((args.n, d)) @ chol.T
+    if not np.all(np.isfinite(x)):
+        raise InvalidParams("generated rows are not finite: mu or sigma is too large")
     lines = [",".join(f"x{j + 1}" for j in range(d))]
     lines.extend(",".join(f"{v:.17g}" for v in row) for row in x)
     _emit("\n".join(lines) + "\n", args.out)
@@ -189,6 +195,8 @@ def cmd_mean(args: argparse.Namespace) -> int:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
+    # imported here: the audit loads scipy, which no other subcommand needs
+    from .audit import reports_to_csv, reports_to_json_lines, run_checks
     checks = args.check or ["all"]
     reports = run_checks(
         checks,
@@ -260,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit = subs.add_parser("audit", help="run numerical audits")
     p_audit.add_argument(
         "--check", action="append",
-        help=f"check name ({', '.join(REGISTRY)} or all); repeatable",
+        help="check name, or all; repeatable; an unknown name exits 2 and lists the valid ones",
     )
     p_audit.add_argument("--trials", type=int)
     p_audit.add_argument("--mode", choices=("relaxed", "strict"), default="relaxed")

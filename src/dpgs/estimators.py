@@ -101,13 +101,6 @@ def pair_and_rescale(x: np.ndarray) -> np.ndarray:
     return (x[:m] - x[m:]) / math.sqrt(2.0)
 
 
-def _subset_scatter(y: np.ndarray, mask: np.ndarray, m: int) -> np.ndarray:
-    """Scatter matrix (1/m) * sum_{i in mask} y_i y_i^T. Note the fixed
-    normalizer m, not the subset size."""
-    ys = y[mask]
-    return (ys.T @ ys) / m
-
-
 def _prune_to_fixed_point(
     y: np.ndarray, mask: np.ndarray, lam: float, norms: np.ndarray | None = None
 ) -> np.ndarray:
@@ -123,11 +116,13 @@ def _prune_to_fixed_point(
         if norms is None:
             if not np.any(mask):
                 return np.empty(0)
-            w, u = np.linalg.eigh(_subset_scatter(y, mask, m))
+            ys = y[mask]
+            w, u = np.linalg.eigh((ys.T @ ys) / m)  # normalizer m, not |mask|
             if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
                 mask[:] = False
                 return np.empty(0)
-            coords = (y[mask] @ u) / np.sqrt(w)
+            coords = ys @ u  # divided in place: a pass holds two m x d arrays at most
+            coords /= np.sqrt(w)
             norms = np.einsum("ij,ij->i", coords, coords)
         out = norms > lam
         if not np.any(out):

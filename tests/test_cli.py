@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import dpgs.audit as audit_mod
-import dpgs.cli as cli_mod
 from dpgs.audit import END_TO_END_MIN_TRIALS, AuditReport
 from dpgs.cli import main
 
@@ -20,6 +19,11 @@ def run_cli(capsys, *argv):
 
 
 PLAN_ARGS = ["--alpha", "0.2", "--epsilon", "1", "--delta", "0.05", "--dim", "1"]
+# the arguments of the two commands that read a CSV, less --dim and --in
+CSV_COMMAND_ARGS = {
+    "sample": ["--alpha", "0.2", "--epsilon", "1", "--delta", "0.05"],
+    "mean": ["--epsilon", "1", "--delta", "0.05", "--lambda0", "20"],
+}
 
 
 class TestPlan:
@@ -109,6 +113,30 @@ class TestGen:
               "--out", str(out)])
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.allclose(np.var(data, axis=0), 4.0, rtol=0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_finite_sigma_does_not_overflow(self, capsys):
+        # sigma + sigma.T overflows at 1e308; the symmetrised matrix does not
+        code, out, _ = run_cli(
+            capsys, "gen", "--n", "3", "--dim", "1", "--mu", "1e308", "--sigma", "1e308",
+            "--seed", "1",
+        )
+        assert code == 0
+        assert np.all(np.isfinite([float(v) for v in out.split()[1:]]))
+
+    def test_non_finite_rows_exit_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: np.full_like(a, np.inf))
+        code, out, err = run_cli(capsys, "gen", "--n", "3", "--dim", "1", "--seed", "1")
+        assert code == 2
+        assert out == ""
+        assert "not finite" in err
+
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dim_below_one_exits_two(self, capsys, dim):
+        code, out, err = run_cli(capsys, "gen", "--n", "3", "--dim", dim)
+        assert code == 2
+        assert out == ""
+        assert f"n and dim must be >= 1, got n=3, dim={dim}" in err
 
 
 @pytest.fixture(scope="module")
@@ -243,15 +271,25 @@ class TestMalformedNumbers:
     ):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2\n" + body)
-        args = {
-            "sample": ["--alpha", "0.2", "--epsilon", "1", "--delta", "0.05"],
-            "mean": ["--epsilon", "1", "--delta", "0.05", "--lambda0", "20"],
-        }[command]
-        code, out, err = run_cli(capsys, command, *args, "--dim", "2", "--in", str(path))
+        code, out, err = run_cli(
+            capsys, command, *CSV_COMMAND_ARGS[command], "--dim", "2", "--in", str(path)
+        )
         assert code == 2
         assert out == ""
         assert str(path) in err and "malformed" in err
         assert cell not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["sample", "mean"])
+    def test_header_only_csv_exits_two(self, capsys, tmp_path, command):
+        path = tmp_path / "empty.csv"
+        path.write_text("x1,x2\n")
+        code, out, err = run_cli(
+            capsys, command, *CSV_COMMAND_ARGS[command], "--dim", "2", "--in", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path} has no data rows\n"
 
 
 class TestAudit:
@@ -301,7 +339,7 @@ class TestAudit:
         def never(*args, **kwargs):
             raise AssertionError("run_checks ran")
 
-        monkeypatch.setattr(cli_mod, "run_checks", never)
+        monkeypatch.setattr(audit_mod, "run_checks", never)
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--check", "density_lemmas", "--threads", str(threads)])
         assert exc.value.code == 2
