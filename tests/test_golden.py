@@ -10,18 +10,22 @@ A second digest per case hashes each call's whole run trace, as sorted-key
 JSON: the reference set, the sizes and the uniformity flags as well.
 The audit case hashes the JSON lines of three run_checks checks that run
 both estimators and the pipelines, at small trial counts. A second audit
-case hashes every registry check on its own, in both modes.
+case hashes every registry check on its own, in both modes. The plan case
+hashes the sorted-key JSON of relaxed_plan(d) for d = 1..299 and of plan
+over a grid of (alpha, epsilon, delta, d, c1, c2), so every size and
+constant of both plan flavors is pinned.
 A change that moves any of these bytes must say which bytes and why, and
 only then update a digest.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from dpgs.audit import reports_to_json_lines, run_checks
+from dpgs.audit import relaxed_plan, reports_to_json_lines, run_checks
 from dpgs.privacy import PrivacyParams, plan
 from dpgs.randomness import RngStream
 from dpgs.samplers import cov_aware_mean, sample_known_cov, sample_unbounded
@@ -177,3 +181,33 @@ CHECK_GOLDEN = {
 def test_each_check_matches_golden(name, mode):
     lines = reports_to_json_lines(run_checks((name,), mode=mode, trials=CHECK_TRIALS[name]))
     assert hashlib.sha256(lines.encode()).hexdigest() == CHECK_GOLDEN[(name, mode)]
+
+
+PLAN_GRID = tuple(itertools.product(
+    (0.05, 0.2, 0.5),
+    ((1.0, 0.05), (0.3, 1e-6), (0.9, 1e-3)),
+    (1, 2, 5, 20, 100),
+    ((1.0, 1.0), (3.0, 40.0), (1.0, 2640.0)),
+))
+PLAN_GOLDEN = {
+    "relaxed": "91170731a231f31e9773076d42847596b88df740be7881b2f6047db0854d8ee5",
+    "plan": "976ce5c88400c42c75ea731709f507d67dc32f0dcbf36405b3748571bb1a19bf",
+}
+
+
+def plan_digest(plans):
+    h = hashlib.sha256()
+    for sp in plans:
+        h.update(json.dumps(sp.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def test_plans_match_golden():
+    digests = {
+        "relaxed": plan_digest(relaxed_plan(d) for d in range(1, 300)),
+        "plan": plan_digest(
+            plan(alpha, PrivacyParams(eps, delta), d, c1, c2)
+            for alpha, (eps, delta), d, (c1, c2) in PLAN_GRID
+        ),
+    }
+    assert digests == PLAN_GOLDEN
