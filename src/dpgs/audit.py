@@ -29,7 +29,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,9 +62,10 @@ from .privacy import (
     E_SQ,
     PrivacyParams,
     SamplerPlan,
-    noise_multiplier_sq,
     plan,
     reference_size,
+    solve_plan,
+    stability_floors,
 )
 from .randomness import RngStream, sphere_batch, subset_indices
 from .samplers import sample_unbounded
@@ -150,38 +151,26 @@ def relaxed_plan(d: int) -> SamplerPlan:
     Keeps the hypothesis shape gamma <= 1/(2k), n1 >= 32 e^2 k,
     n2 >= 16 e^2 lambda0 k and |R| > 6k at desk-scale run times by fixing
     k = 5 and using a flat threshold scale instead of the full planner
-    formulas, at AUDIT_PARAMS.
+    formulas, at AUDIT_PARAMS. The start n = d + 2 lies below every fixed
+    point (each is at least ceil(32 e^2 k) + 2 n2), so this is the least one.
     """
     if d < 1:
         raise PreconditionViolated("d must be >= 1")
     k = 5
     params = AUDIT_PARAMS
     lambda0 = 4.0 * d + 40.0
-    n2 = math.ceil(16.0 * E_SQ * lambda0 * k)
-    n1 = math.ceil(32.0 * E_SQ * k)
-    for _ in range(100):
-        n = n1 + 2 * n2
+    n1_floor, n2_floor, _ = stability_floors(k, lambda0)
+    n2 = math.ceil(n2_floor)
+
+    def step(n: int) -> tuple[float, int, int, int]:
         m_ref = reference_size(n, k, params.delta)
-        n1_new = max(math.ceil(32.0 * E_SQ * k), m_ref)
-        if n1_new == n1:
-            break
-        n1 = n1_new
-    n = n1 + 2 * n2
+        return lambda0, max(math.ceil(n1_floor), m_ref), n2, m_ref
+
+    # alpha is nominal: relaxed plans target the stability radius, not a TV level
+    sp = solve_plan(0.5, params, d, k, step, d + 2, math.nan, math.nan)
     budget = math.log(1.0 / params.delta)
-    return SamplerPlan(
-        alpha=0.5,  # nominal; relaxed plans target the stability radius, not a TV level
-        d=d,
-        params=params,
-        lambda0=lambda0,
-        n1=n1,
-        n2=n2,
-        n=n,
-        k=k,
-        ref_size=m_ref,
-        c1=n1 * params.epsilon / (math.sqrt(lambda0) * budget),
-        c2=n2 * params.epsilon / (lambda0 * budget),
-        c_sq=noise_multiplier_sq(lambda0, params, n),
-    )
+    c1 = sp.n1 * params.epsilon / (math.sqrt(lambda0) * budget)
+    return replace(sp, c1=c1, c2=sp.n2 * params.epsilon / (lambda0 * budget))
 
 
 def strict_plan(d: int = 1) -> SamplerPlan:
@@ -285,10 +274,8 @@ def audit_score_sensitivity(
     _, failures, diffs = _fold(one, trials)
     diffs = np.array(diffs, dtype=float)
     kinds = [_REPLACEMENT_KINDS[i % len(_REPLACEMENT_KINDS)] for i in range(trials)]
-    met = all(
-        sp.n1 >= 32.0 * E_SQ * sp.k and sp.n2 >= 16.0 * E_SQ * sp.lambda0 * sp.k
-        for sp in plans
-    )
+    floors = [stability_floors(sp.k, sp.lambda0) for sp in plans]
+    met = all(sp.n1 >= f[0] and sp.n2 >= f[1] for sp, f in zip(plans, floors))
     stats_out = {
         "max_abs_diff": float(diffs.max()),
         "mean_abs_diff": float(diffs.mean()),
@@ -334,7 +321,7 @@ def audit_cov_stability(
     gamma = sp.gamma
     bound = (1.0 + 2.0 * gamma) * gamma
     cfg = EstimatorConfig(sp.lambda0, sp.k)
-    hypothesis_met = sp.n2 >= 16.0 * E_SQ * sp.lambda0 * sp.k
+    hypothesis_met = sp.n2 >= stability_floors(sp.k, sp.lambda0)[1]
 
     def one(i: int) -> tuple[bool, bool, float]:
         _, a, b, _ = _adjacent_trial(rng, i, (2 * sp.n2, sp.d), 0, 2 * sp.n2)
@@ -414,11 +401,8 @@ def audit_mean_stability(
     gamma = sp.gamma
     bound = (1.0 + 2.0 * gamma) * 38.0 * E_SQ * sp.lambda0 / sp.n1**2
     core_lam = E_SQ * sp.lambda0
-    hypothesis_met = (
-        sp.n1 >= 32.0 * E_SQ * sp.k
-        and sp.ref_size > 6 * sp.k
-        and sp.n2 >= 16.0 * E_SQ * sp.lambda0 * sp.k
-    )
+    n1_floor, n2_floor, ref_floor = stability_floors(sp.k, sp.lambda0)
+    hypothesis_met = sp.n1 >= n1_floor and sp.ref_size > ref_floor and sp.n2 >= n2_floor
 
     def one(i: int) -> tuple[bool, bool, float]:
         # alternate the changed block: even trials hit the mean rows (same

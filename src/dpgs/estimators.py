@@ -25,6 +25,7 @@ from .exceptions import (
     PreconditionViolated,
 )
 from .linalg import SINGULAR_RTOL, check_symmetric, outside_range, range_mask
+from .privacy import stability_floors
 
 
 @dataclass(frozen=True)
@@ -399,9 +400,10 @@ def stable_mean(
     n = x.shape[0]
     r = _check_reference(r, n)
     k = cfg.k
-    if r.size <= 6 * k:
+    ref_floor = stability_floors(k, cfg.lambda0)[2]
+    if r.size <= ref_floor:
         warnings.warn(
-            f"reference set of size {r.size} is not larger than 6k = {6 * k}; "
+            f"reference set of size {r.size} is not larger than 6k = {ref_floor}; "
             "stability guarantees degrade",
             RuntimeWarning,
             stacklevel=2,

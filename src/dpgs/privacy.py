@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -110,6 +111,32 @@ class SamplerPlan:
         return out
 
 
+def stability_floors(k: int, lambda0: float) -> tuple[float, float, int]:
+    """Stability-lemma size floors: n1 >= 32 e^2 k, n2 >= 16 e^2 lambda0 k, |R| > 6k."""
+    return 32.0 * E_SQ * k, 16.0 * E_SQ * lambda0 * k, 6 * k
+
+
+def solve_plan(
+    alpha: float, params: PrivacyParams, d: int, k: int,
+    step: Callable[[int], tuple[float, int, int, int]], n: int, c1: float, c2: float,
+) -> SamplerPlan:
+    """Iterate n -> n1 + 2 n2 from the start n until n repeats; plan the fixed point.
+
+    step(n) gives (lambda0, n1, n2, ref_size) and must be monotone in n. From
+    a start at or below the least fixed point n*, every iterate stays at or
+    below n* (n <= n* maps to at most n*'s image, n*), and the iterates are
+    monotone, so they end at a fixed point <= n*: n* itself, whatever the
+    start. Raises NoConvergence when n has not repeated after 500 steps.
+    """
+    for _ in range(500):
+        lambda0, n1, n2, ref_size = step(n)
+        if n1 + 2 * n2 == n:
+            c_sq = noise_multiplier_sq(lambda0, params, n)
+            return SamplerPlan(alpha, d, params, lambda0, n1, n2, n, k, ref_size, c1, c2, c_sq)
+        n = n1 + 2 * n2
+    raise NoConvergence("size plan did not reach a fixed point")
+
+
 def plan(
     alpha: float,
     params: PrivacyParams,
@@ -119,11 +146,11 @@ def plan(
 ) -> SamplerPlan:
     """Fixed-point size plan for the unbounded sampler.
 
-    Solves the circular dependency lambda0 <-> n: lambda0 grows with n via
-    the outlier threshold while n1, n2 and the reference size grow with
-    lambda0 and n. The update map is monotone in n, so iteration from a
-    small start converges; n1 is raised to the reference size when needed
-    so the reference subset always fits inside the mean block.
+    Solves the circular dependency lambda0 <-> n with solve_plan: lambda0
+    grows with n via the outlier threshold while n1, n2 and the reference
+    size grow with lambda0 and n, starting from n = d + 2; n1 is raised to
+    the reference size when needed so the reference subset always fits
+    inside the mean block.
     """
     if d < 1:
         raise PreconditionViolated("d must be >= 1")
@@ -135,34 +162,17 @@ def plan(
     k = ladder_granularity(params)
     budget = math.log(1.0 / delta)
 
-    n = d + 2
+    def step(n: int) -> tuple[float, int, int, int]:
+        lambda0 = outlier_threshold(d, n, alpha)
+        m_ref = reference_size(n, k, delta)
+        n1 = max(math.ceil(c1 * math.sqrt(lambda0) * budget / eps), m_ref)
+        return lambda0, n1, math.ceil(c2 * lambda0 * budget / eps), m_ref
+
     try:
-        for _ in range(500):
-            lambda0 = outlier_threshold(d, n, alpha)
-            n2 = math.ceil(c2 * lambda0 * budget / eps)
-            m_ref = reference_size(n, k, delta)
-            n1 = max(math.ceil(c1 * math.sqrt(lambda0) * budget / eps), m_ref)
-            n_new = n1 + 2 * n2
-            if n_new == n:
-                return SamplerPlan(
-                    alpha=alpha,
-                    d=d,
-                    params=params,
-                    lambda0=lambda0,
-                    n1=n1,
-                    n2=n2,
-                    n=n,
-                    k=k,
-                    ref_size=m_ref,
-                    c1=c1,
-                    c2=c2,
-                    c_sq=noise_multiplier_sq(lambda0, params, n),
-                )
-            n = n_new
+        return solve_plan(alpha, params, d, k, step, d + 2, c1, c2)
     except OverflowError as exc:
         # a size (or n**2 in the noise scale) beyond float range
         raise InvalidParams(f"plan sizes overflow at c1={c1}, c2={c2}") from exc
-    raise NoConvergence("size plan did not reach a fixed point")
 
 
 def truncated_laplace(

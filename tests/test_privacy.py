@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpgs.exceptions import InvalidParams, PreconditionViolated
+from dpgs.exceptions import InvalidParams, NoConvergence, PreconditionViolated
 from dpgs.privacy import (
     PrivacyParams,
     PtrOutcome,
@@ -17,6 +17,7 @@ from dpgs.privacy import (
     pass_threshold,
     plan,
     reference_size,
+    solve_plan,
     truncated_laplace,
 )
 from dpgs.randomness import RngStream
@@ -138,6 +139,30 @@ def test_plan_rejects_constants_that_are_not_finite_and_positive(c1, c2):
 def test_plan_sizes_that_overflow_raise_invalid_params(c1, c2):
     with pytest.raises(InvalidParams, match="overflow"):
         plan(0.2, PrivacyParams(1.0, 0.05), 1, c1=c1, c2=c2)
+
+
+def _solve(step, start):
+    return solve_plan(0.5, PrivacyParams(1.0, 0.05), 1, 5, step, start, 1.0, 1.0)
+
+
+def test_solve_plan_ends_at_the_least_fixed_point_from_any_lower_start():
+    # n1 + 2 n2 = max(40, n // 2 + 30) is monotone with fixed points 59 and 60
+    def step(n):
+        return 1.0, max(40, n // 2 + 30) - 2, 1, 7
+
+    assert {_solve(step, start).n for start in (1, 40, 58, 59)} == {59}
+    assert _solve(step, 60).n == 60
+    sp = _solve(step, 1)
+    assert (sp.n1, sp.n2, sp.ref_size, sp.k, sp.c1, sp.c2) == (57, 1, 7, 5, 1.0, 1.0)
+
+
+def test_solve_plan_raises_when_n_never_repeats():
+    # n alternates 10 -> 20 -> 10 -> ..., so no step returns its own n
+    def step(n):
+        return 1.0, 30 - n, 0, 1
+
+    with pytest.raises(NoConvergence, match="fixed point"):
+        _solve(step, 10)
 
 
 def test_noise_multiplier_that_overflows_raises():
