@@ -1,6 +1,7 @@
 """Audit harness: report plumbing, plan shapes, and each check at small sizes."""
 
 import json
+import math
 import threading
 
 import numpy as np
@@ -266,6 +267,27 @@ class TestTailFacts:
         assert rep.statistics["triangle_failures"] == 0.0
         assert rep.statistics["quad_c_fit"] > 0.02
         assert rep.statistics["beta_c_fit"] > 0.02
+
+    @pytest.mark.parametrize("seed", [30, 78, 126])
+    def test_chance_fluctuations_of_correct_laws_pass(self, seed):
+        # the old fixed cutoffs failed these seeds: sphere_ks 0.0201 > 0.02
+        # (seed 30), mixture_ks_pvalue 0.0076 and 0.0026 < 0.01 (78, 126)
+        rep = audit_tail_facts(TAIL_FACTS_MIN_DRAWS, RngStream(seed, 7))
+        assert rep.verdict == "pass"
+
+    def test_non_uniform_sphere_sampler_fails(self, monkeypatch):
+        def stretched(gen, n, count):
+            g = gen.standard_normal((count, n))
+            g[:, 0] *= 1.2
+            return g / np.linalg.norm(g, axis=1)[:, None]
+
+        monkeypatch.setattr(audit_mod, "sphere_batch", stretched)
+        rep = audit_tail_facts(TAIL_FACTS_MIN_DRAWS, RngStream(7, 11))
+        # the Dvoretzky-Kiefer-Wolfowitz cutoff at false-alarm rate 1e-6
+        cutoff = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * TAIL_FACTS_MIN_DRAWS))
+        assert rep.statistics["sphere_ks"] > cutoff
+        assert rep.failures == 1
+        assert rep.verdict == "fail"
 
     @pytest.mark.parametrize("trials", [TAIL_FACTS_MIN_DRAWS - 1, 1000, 0, -1])
     def test_too_few_draws_rejected_before_any_draw(self, trials):
