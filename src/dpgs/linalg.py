@@ -23,20 +23,6 @@ RANGE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigendecomposition of a symmetric matrix.
-
-    Attributes
-    ----------
-    eigenvalues : (d,) array, descending order.
-    eigenvectors : (d, d) array, column i pairs with eigenvalues[i].
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class MatrixNorms:
     spectral: float
     frobenius: float
@@ -71,18 +57,6 @@ def check_symmetric(a: np.ndarray) -> np.ndarray:
     if not np.allclose(a, a.T, atol=1e-9 * max(scale, 1e-300), rtol=0.0):
         raise NotSymmetric("matrix is not symmetric")
     return a
-
-
-def spectral_decomp(a: np.ndarray) -> SpectralDecomp:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Reconstruction ``U diag(w) U^T`` agrees with ``a`` to LAPACK accuracy
-    and the eigenvector matrix is orthonormal.
-    """
-    a = check_symmetric(a)
-    w, u = np.linalg.eigh(a)
-    order = np.argsort(w)[::-1]
-    return SpectralDecomp(eigenvalues=w[order], eigenvectors=u[:, order])
 
 
 def matrix_norms(a: np.ndarray) -> MatrixNorms:
@@ -141,18 +115,24 @@ def mahalanobis_sq(v: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def sym_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root. Tiny negative eigenvalues clip to 0."""
-    dec = spectral_decomp(a)
-    w = np.clip(dec.eigenvalues, 0.0, None)
-    return (dec.eigenvectors * np.sqrt(w)) @ dec.eigenvectors.T
+    """Symmetric PSD square root. Tiny negative eigenvalues clip to 0.
+
+    The eigenpairs are summed in descending order of eigenvalue.
+    """
+    w, u = np.linalg.eigh(check_symmetric(a))
+    order = np.argsort(w)[::-1]
+    w, u = np.clip(w[order], 0.0, None), u[:, order]
+    return (u * np.sqrt(w)) @ u.T
 
 
 def sym_inv_sqrt(a: np.ndarray) -> np.ndarray:
     """Inverse symmetric square root of a positive definite matrix."""
-    dec = spectral_decomp(a)
-    if dec.eigenvalues[-1] <= 0.0:
+    w, u = np.linalg.eigh(check_symmetric(a))
+    order = np.argsort(w)[::-1]
+    w, u = w[order], u[:, order]
+    if w[-1] <= 0.0:
         raise NotPD("matrix is not positive definite")
-    return (dec.eigenvectors / np.sqrt(dec.eigenvalues)) @ dec.eigenvectors.T
+    return (u / np.sqrt(w)) @ u.T
 
 
 def psd_sandwich_check(s1: np.ndarray, s2: np.ndarray, gamma: float) -> bool:

@@ -10,7 +10,6 @@ from dpgs.linalg import (
     mahalanobis_sq,
     matrix_norms,
     psd_sandwich_check,
-    spectral_decomp,
     sym_inv_sqrt,
     sym_sqrt,
 )
@@ -26,20 +25,18 @@ def random_spd(rng, d, jitter=0.5):
     return a @ a.T + jitter * np.eye(d)
 
 
-def test_spectral_decomp_reconstructs():
+def test_sym_sqrt_squares_back():
     rng = np.random.default_rng(7)
     for d in (1, 2, 5, 17, 50):
-        a = random_symmetric(rng, d)
-        dec = spectral_decomp(a)
-        u, w = dec.eigenvectors, dec.eigenvalues
-        assert np.all(np.diff(w) <= 0)  # descending
-        assert np.allclose(u @ np.diag(w) @ u.T, a, atol=1e-10 * max(1.0, np.abs(a).max()))
-        assert np.allclose(u.T @ u, np.eye(d), atol=1e-12)
+        a = random_spd(rng, d)
+        root = sym_sqrt(a)
+        assert np.allclose(root, root.T, atol=1e-12 * np.abs(root).max())
+        assert np.allclose(root @ root, a, atol=1e-10 * max(1.0, np.abs(a).max()))
 
 
-def test_spectral_decomp_rejects_asymmetric():
+def test_sym_inv_sqrt_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
-        spectral_decomp(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        sym_inv_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def tolerance_verdict(a, rtol=1e-9):
