@@ -131,6 +131,19 @@ class TestGen:
         assert out == ""
         assert "not finite" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--mu", "1,2,3", "mean has 3 entries, expected 2"),
+            ("--sigma", "1,0,0;0,1,0;0,0,1", "covariance has shape (3, 3)"),
+        ],
+    )
+    def test_parameter_of_wrong_size_exits_two(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "gen", "--n", "3", "--dim", "2", flag, value)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     def test_dim_below_one_exits_two(self, capsys, dim):
         code, out, err = run_cli(capsys, "gen", "--n", "3", "--dim", dim)
@@ -226,6 +239,16 @@ class TestMean:
         assert code == 2
         assert "lambda0" in err
 
+
+    def test_column_count_mismatch_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text("x1,x2\n1,2\n3,4\n")
+        code, out, err = run_cli(
+            capsys, "mean", *CSV_COMMAND_ARGS["mean"], "--dim", "3", "--in", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert "has 2 columns, expected dim=3" in err
 
     @pytest.mark.parametrize("lambda0", ["inf", "1e308", "1e306"])
     def test_lambda0_that_overflows_exits_two(self, capsys, dataset, lambda0):
@@ -344,6 +367,23 @@ class TestAudit:
             main(["audit", "--check", "density_lemmas", "--threads", str(threads)])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    def test_non_integer_thread_count_is_a_parse_error(self, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_checks ran")
+
+        monkeypatch.setattr(audit_mod, "run_checks", never)
+        with pytest.raises(SystemExit) as exc:
+            main(["audit", "--threads", "x"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_one_thread_runs(self, capsys):
+        code, out, err = run_cli(
+            capsys, "audit", "--threads", "1", "--check", "matrix_bounds", "--trials", "3"
+        )
+        assert code == 0
+        assert [json.loads(line)["verdict"] for line in out.splitlines()] == ["pass"] * 3
 
     def test_end_to_end_below_minimum_trials_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "audit", "--check", "end_to_end", "--trials", "40")
