@@ -276,7 +276,7 @@ def audit_score_sensitivity(
     diffs = np.array(diffs, dtype=float)
     kinds = [_REPLACEMENT_KINDS[i % len(_REPLACEMENT_KINDS)] for i in range(trials)]
     floors = [stability_floors(sp.k, sp.lambda0) for sp in plans]
-    met = all(sp.n1 >= f[0] and sp.n2 >= f[1] for sp, f in zip(plans, floors))
+    met = all(sp.n1 >= n1f and sp.n2 >= n2f for sp, (n1f, n2f, _) in zip(plans, floors))
     stats_out = {
         "max_abs_diff": float(diffs.max()),
         "mean_abs_diff": float(diffs.mean()),

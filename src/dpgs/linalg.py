@@ -117,7 +117,7 @@ def mahalanobis_sq(v: np.ndarray, sigma: np.ndarray) -> float:
 def sym_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root. Tiny negative eigenvalues clip to 0.
 
-    The eigenpairs are summed in descending order of eigenvalue.
+    Eigenpairs are summed largest first; the release bytes depend on it.
     """
     w, u = np.linalg.eigh(check_symmetric(a))
     order = np.argsort(w)[::-1]

@@ -357,7 +357,7 @@ class TestAudit:
         assert code == 2
         assert "unknown check" in err
 
-    @pytest.mark.parametrize("threads", [0, -1, (os.cpu_count() or 1) + 1])
+    @pytest.mark.parametrize("threads", [0, -1, (os.cpu_count() or 1) + 1, "x"])
     def test_bad_thread_count_is_a_parse_error(self, capsys, monkeypatch, threads):
         def never(*args, **kwargs):
             raise AssertionError("run_checks ran")
@@ -365,16 +365,6 @@ class TestAudit:
         monkeypatch.setattr(audit_mod, "run_checks", never)
         with pytest.raises(SystemExit) as exc:
             main(["audit", "--check", "density_lemmas", "--threads", str(threads)])
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
-
-    def test_non_integer_thread_count_is_a_parse_error(self, capsys, monkeypatch):
-        def never(*args, **kwargs):
-            raise AssertionError("run_checks ran")
-
-        monkeypatch.setattr(audit_mod, "run_checks", never)
-        with pytest.raises(SystemExit) as exc:
-            main(["audit", "--threads", "x"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
