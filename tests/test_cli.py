@@ -239,7 +239,6 @@ class TestMean:
         assert code == 2
         assert "lambda0" in err
 
-
     def test_column_count_mismatch_exits_two(self, capsys, tmp_path):
         path = tmp_path / "two.csv"
         path.write_text("x1,x2\n1,2\n3,4\n")
