@@ -8,6 +8,10 @@ seeds: clean d=1 data, and d=20 data with an ill-conditioned covariance and
 prunes on many rungs and the gate both passes and fails across the seeds.
 A second digest per case hashes each call's whole run trace, as sorted-key
 JSON: the reference set, the sizes and the uniformity flags as well.
+The corpus case runs the three pipelines on a fresh dataset per call, at
+d = 1, 5 and 20, clean and with far rows in both blocks, some offset far
+from the origin and some with a singular covariance, and hashes each
+call's released bytes and sorted-key trace JSON.
 The audit case hashes the JSON lines of three run_checks checks that run
 both estimators and the pipelines, at small trial counts. A second audit
 case hashes every registry check on its own, in both modes. The plan case
@@ -133,6 +137,59 @@ def test_pipeline_traces_match_golden(name, d, make):
     sp = plan(0.2, PARAMS, d)
     runs = pipeline_runs(*make(sp), sp)
     assert {key: trace_digest(r) for key, r in runs.items()} == TRACE_GOLDEN[name]
+
+
+# The corpus: a fresh dataset per call, so branches one fixed dataset never
+# reaches are pinned too. Every 7th dataset is offset by 1e9, far enough
+# from the origin in whitened units that the neighbor certificate declines
+# and the dense matrix decides; at d > 1 every 11th copies one column into
+# another, which makes the covariance estimate singular.
+CORPUS_DATASETS = 100
+CORPUS_OFFSET = 1.0e9
+CORPUS_GOLDEN = {
+    (1, "clean"): "7df969858c24c24b0fed71f61e8fab0703bfc6617208919418b03b865904ae3e",
+    (1, "far"): "c8655b8c0adb20b0be550ab2ff2e39d06001022471e7017709ab2f148a49970f",
+    (5, "clean"): "4e4d8b9dbba70c07961f0f47952725ec9317891ac80c333b45fda3b680954ed8",
+    (5, "far"): "e12807e06af15750d076135bc6657404aba93b624b3015cc2328179319ed0c44",
+    (20, "clean"): "a38f80e543a8efa7881ee07f7254d341b0d59ffa13d15bf99e14b3cf734a1d05",
+    (20, "far"): "3138800d47a6987f9fce1dd3d5985f0da039c09aa9a9d2d87d49c74688b75027",
+}
+
+
+def corpus_dataset(sp, kind, i):
+    gen = np.random.default_rng([sp.d, kind == "far", i])
+    scale = gen.uniform(0.5, 3.0)
+    x = 3.0 + scale * gen.standard_normal((sp.n, sp.d))
+    known = 3.0 + gen.standard_normal((sp.n1, sp.d))
+    if kind == "far":
+        plant_far_rows(gen, x, 0, sp.n1, int(gen.integers(1, 6)))
+        plant_far_rows(gen, x, sp.n1, sp.n, int(gen.integers(1, 6)))
+        plant_far_rows(gen, known, 0, sp.n1, int(gen.integers(1, 6)))
+    if i % 7 == 0:
+        x += CORPUS_OFFSET
+        known += CORPUS_OFFSET
+    if sp.d > 1 and i % 11 == 0:
+        x[:, 1] = x[:, 0]
+        known[:, 1] = known[:, 0]
+    return x, known
+
+
+@pytest.mark.parametrize("d, kind", sorted(CORPUS_GOLDEN))
+def test_corpus_matches_golden(d, kind):
+    sp = plan(0.2, PARAMS, d)
+    h = hashlib.sha256()
+    for i in range(CORPUS_DATASETS):
+        x, known = corpus_dataset(sp, kind, i)
+        runs = (
+            sample_unbounded(x, sp, RngStream(i, 1)),
+            cov_aware_mean(x, sp.params, sp.lambda0, RngStream(i, 2)),
+            sample_known_cov(known, sp, RngStream(i, 3)),
+        )
+        for result, trace in runs:
+            value = b"fail" if result.failed else np.asarray(result.value, dtype="<f8").tobytes()
+            h.update(value)
+            h.update(json.dumps(trace.to_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == CORPUS_GOLDEN[(d, kind)]
 
 
 AUDIT_TRIALS = {"score_sensitivity": 24, "mean_stability": 12, "end_to_end": 60}
