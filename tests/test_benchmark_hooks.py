@@ -51,6 +51,18 @@ def test_estimators_eigh_count_sees_the_ladder_and_the_neighbor_kernel():
         tracer.reset()
         sample_known_cov(x[: sp.n1], sp, RngStream(1, 1))
         assert tracer.counts() == {"estimators.eigh": 1}
+        # Blocks the uniform shortcuts decline cost no extra pass: one far
+        # covariance row prunes once (three eigh), one far mean row
+        # leaves the known-covariance release at one.
+        far = x.copy()
+        far[sp.n1, 0] = 1e6
+        tracer.reset()
+        sample_unbounded(far, sp, RngStream(1, 1))
+        assert tracer.counts() == {"estimators.eigh": 3}
+        far[0, 0] = 1e6
+        tracer.reset()
+        sample_known_cov(far[: sp.n1], sp, RngStream(1, 1))
+        assert tracer.counts() == {"estimators.eigh": 1}
     finally:
         tracer.restore()
     assert estimators.np is np

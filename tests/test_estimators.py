@@ -183,6 +183,22 @@ def test_stable_cov_score_zero_iff_base_threshold_clean():
     a = (y.T @ y) / y.shape[0]
     norms = (y[:, 0] ** 2) / a[0, 0]
     assert (out.score == 0) == bool(np.all(norms <= CFG.lambda0))
+    # One pair whose norm lies in (lambda_0, lambda_1] leaves the sweep at
+    # score 1, so the uniform shortcut must decline on it: it keys on
+    # lambda_0, not on a higher rung.
+    cfg = EstimatorConfig(lambda0=60.0, k=7)
+    lam0, lam1 = cfg.thresholds()[:2]
+    x = rng.standard_normal((400, 1))
+    m = 200
+    rest = float(np.sum(pair_and_rescale(x)[1:, 0] ** 2))
+    target = 0.5 * (lam0 + lam1)
+    x[0, 0] = x[m, 0] + math.sqrt(2.0 * target * rest / (m - target))
+    y = pair_and_rescale(x)
+    norm0 = m * y[0, 0] ** 2 / np.sum(y[:, 0] ** 2)
+    assert lam0 < norm0 <= lam1
+    out = stable_cov(x, cfg)
+    assert out.score == 1
+    assert np.all(out.counts == cfg.k)
 
 
 def reference_good_subset(y, lam):
@@ -352,6 +368,22 @@ def dense_mahalanobis_sq(x, ref, sigma):
     return dist
 
 
+def whole_block_radius(x, ref, sigma):
+    """The radius at which the certificate's whole-block test starts to
+    hold (every ref core, and the inside test at the largest row offsets),
+    from the whitened rows; None when sigma is singular."""
+    w, u = np.linalg.eigh(sigma)
+    if not w[0] > SINGULAR_RTOL * w[-1] > 0.0:
+        return None
+    a = (x @ u) / np.sqrt(w)
+    b = (ref @ u) / np.sqrt(w)
+    c = np.partition(b, b.shape[0] // 2, axis=0)[b.shape[0] // 2]
+    r, s, an, bn = (np.sqrt(np.einsum("ij,ij->i", v, v)).max() for v in (a - c, b - c, a, b))
+    eta = estimators._CERT_ETA
+    inside = ((r + s) ** 2 * (1.0 + eta) + eta * (an + bn) ** 2 + estimators._CERT_FLOOR)
+    return float(max(4.0 * s**2, inside / (1.0 - eta)))
+
+
 def _far_refs(gen, x):
     # rows 1e2..1e8 scales out, all of them in the reference set
     rows = gen.choice(x.shape[0], size=max(1, x.shape[0] // 10), replace=False)
@@ -414,6 +446,10 @@ def test_neighbor_counts_match_dense_matrix(name, d):
             scale = float(np.max(np.abs(sigma))) or 1.0
             if sigma_name != "estimate":
                 lams += [scale * 1e-3, scale * 7.0]
+            edge = whole_block_radius(x, ref, sigma)
+            if edge is not None and 0.0 < edge < math.inf:
+                # either side of the whole-block test's own threshold
+                lams += [edge * (1.0 - 1e-9), edge * (1.0 + 1e-9)]
             for lam in lams:
                 want = np.sum(dist <= lam, axis=1)
                 got = neighbor_counts(x, ref, sigma, lam)
@@ -460,6 +496,14 @@ def test_stable_mean_rejects_bad_reference():
         stable_mean(x, np.eye(1), CFG, np.array([0, 0]))
     with pytest.raises(PreconditionViolated):
         stable_mean(x, np.eye(1), CFG, np.array([4]))
+    # sorted but out of range at either end, and distinct but unsorted
+    for r in ([-1, 2], [1, 4]):
+        with pytest.raises(PreconditionViolated, match="out of range"):
+            stable_mean(x, np.eye(1), CFG, np.array(r))
+    with pytest.raises(PreconditionViolated, match="distinct"):
+        stable_mean(x, np.eye(1), CFG, np.array([2, 1, 2]))
+    with pytest.warns(RuntimeWarning, match="not larger than 6k"):
+        assert stable_mean(x, np.eye(1), CFG, np.array([3, 0, 1])).score == 0
 
 
 @pytest.mark.parametrize("sigma", [-np.eye(2), np.diag([1.0, -1.0])])
