@@ -102,6 +102,17 @@ def pair_and_rescale(x: np.ndarray) -> np.ndarray:
     return (x[:m] - x[m:]) / math.sqrt(2.0)
 
 
+def _scatter_norms(ys: np.ndarray, m: int) -> np.ndarray:
+    """Each row's norm ``y_i^T a^{-1} y_i`` under ``a = ys^T ys / m``, all
+    +inf when a is singular (so every row is pruned at any threshold)."""
+    w, u = np.linalg.eigh((ys.T @ ys) / m)  # normalizer m, not |mask|
+    if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
+        return np.full(ys.shape[0], np.inf)
+    coords = ys @ u  # divided in place: a pass holds two m x d arrays at most
+    coords /= np.sqrt(w)
+    return np.einsum("ij,ij->i", coords, coords)
+
+
 def _prune_to_fixed_point(
     y: np.ndarray, mask: np.ndarray, lam: float, norms: np.ndarray | None = None
 ) -> np.ndarray:
@@ -112,19 +123,11 @@ def _prune_to_fixed_point(
     ``norms``, if given, must be the members' norms under the scatter of
     the current mask; the first pass then needs no eigendecomposition.
     """
-    m = y.shape[0]
     while True:
         if norms is None:
             if not np.any(mask):
                 return np.empty(0)
-            ys = y[mask]
-            w, u = np.linalg.eigh((ys.T @ ys) / m)  # normalizer m, not |mask|
-            if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
-                mask[:] = False
-                return np.empty(0)
-            coords = ys @ u  # divided in place: a pass holds two m x d arrays at most
-            coords /= np.sqrt(w)
-            norms = np.einsum("ij,ij->i", coords, coords)
+            norms = _scatter_norms(y[mask], y.shape[0])
         out = norms > lam
         if not np.any(out):
             return norms
@@ -161,7 +164,7 @@ def largest_good_subset(y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def _ladder_subset_sizes_and_counts(
-    y: np.ndarray, cfg: EstimatorConfig
+    y: np.ndarray, cfg: EstimatorConfig, norms: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sizes |S_l| for l = 0..2k and per-point retention counts over
     l = k+1..2k, where S_l is largest_good_subset(y, lambda_l).
@@ -177,7 +180,8 @@ def _ladder_subset_sizes_and_counts(
     searchsorted assigns that whole run of rungs without another pass.
     Once a rung is empty every lower rung is. The warm start makes the
     nesting hold in floating point by construction; restarting each rung
-    from the full set did not guarantee it.
+    from the full set did not guarantee it. ``norms``, if given, are the
+    full set's norms (the top rung's warm start).
     """
     m = y.shape[0]
     k = cfg.k
@@ -185,7 +189,6 @@ def _ladder_subset_sizes_and_counts(
     sizes = np.zeros(2 * k + 1, dtype=np.int64)
     counts = np.zeros(m, dtype=np.int64)
     mask = np.ones(m, dtype=bool)
-    norms = None
     ell = 2 * k
     while ell >= 0:
         norms = _prune_to_fixed_point(y, mask, float(thresholds[ell]), norms)
@@ -205,12 +208,22 @@ def stable_cov(x: np.ndarray, cfg: EstimatorConfig) -> WeightedCovOutput:
     x must have an even row count 2m. The pairing step absorbs the mean;
     the ladder sweep yields score = min(k, min_{0<=l<=k} (m - |S_l| + l))
     and weights w_i = counts_i / (k m) with counts over l = k+1..2k.
+
+    When the full set's scatter is nonsingular and no norm under it
+    exceeds the lowest rung lambda0 = thresholds()[0], the sweep would keep
+    every row on every rung (the top rung prunes nothing and the largest
+    norm searches to rung 0), so counts k and score 0 are set without it. A
+    NaN norm, or the +inf norms of a singular scatter, take the sweep.
     """
     y = pair_and_rescale(x)
     m = y.shape[0]
     k = cfg.k
-    sizes, counts = _ladder_subset_sizes_and_counts(y, cfg)
-    score = int(min(k, np.min(m - sizes[: k + 1] + np.arange(k + 1))))
+    norms = _scatter_norms(y, m) if m else None
+    if norms is not None and norms.max() <= cfg.lambda0:
+        counts, score = np.full(m, k, dtype=np.int64), 0
+    else:
+        sizes, counts = _ladder_subset_sizes_and_counts(y, cfg, norms)
+        score = int(min(k, np.min(m - sizes[: k + 1] + np.arange(k + 1))))
     weights = counts / (k * m)
     w_matrix = (y * np.sqrt(weights)[:, None]).T
     return WeightedCovOutput(w_matrix=w_matrix, weights=weights, counts=counts, score=score)
@@ -287,10 +300,18 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     decides, and every row against the far refs, go pair by pair through
     _certified_pairs. All tests are written so that a NaN or an overflow to
     inf leaves the pair undecided.
+
+    The whole block is decided first: when every ref is core and the inside
+    test holds at max r_i and max |a_i|, every row counts every ref. Each
+    term of the inside test is nondecreasing in r_i and in |a_i| (and
+    correctly rounded arithmetic keeps that order), so this implies the
+    per-row inside test for every row, and the counts are the per-row
+    certificate's.
     """
     an = np.sqrt(np.einsum("ij,ij->i", a, a))
     bn = np.sqrt(np.einsum("ij,ij->i", b, b))
-    if not _CERT_ETA * (an.max() + bn.max()) ** 2 < lam:
+    amax, bmax = an.max(), bn.max()
+    if not _CERT_ETA * (amax + bmax) ** 2 < lam:
         return None
     half = b.shape[0] // 2
     c = np.partition(b, half, axis=0)[half]
@@ -298,7 +319,13 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     bc = b - c
     r = np.sqrt(np.einsum("ij,ij->i", ac, ac))
     s = np.sqrt(np.einsum("ij,ij->i", bc, bc))
-    core = s <= 0.5 * math.sqrt(lam)
+    core_radius = 0.5 * math.sqrt(lam)
+    smax = s.max()
+    if smax <= core_radius and (r.max() + smax) ** 2 * (1.0 + _CERT_ETA) + (
+        _CERT_ETA * ((amax + bmax) ** 2 + lam) + _CERT_FLOOR
+    ) <= lam:
+        return np.full(a.shape[0], b.shape[0], dtype=np.int64)
+    core = s <= core_radius
     counts = np.zeros(a.shape[0], dtype=np.int64)
     pending = np.ones(a.shape[0], dtype=bool)
     if core.any():
@@ -363,6 +390,8 @@ def _check_reference(r: np.ndarray, n: int) -> np.ndarray:
     r = np.asarray(r, dtype=np.int64).reshape(-1)
     if r.size == 0:
         raise EmptyReferenceSet("reference set is empty")
+    if r[0] >= 0 and r[-1] < n and np.all(r[1:] > r[:-1]):
+        return r  # strictly increasing, so in range and distinct
     if np.any(r < 0) or np.any(r >= n):
         raise PreconditionViolated("reference indices out of range")
     if np.bincount(r, minlength=n).max() > 1:
@@ -409,11 +438,14 @@ def stable_mean(
             stacklevel=2,
         )
     nbrs = neighbor_counts(x, x[r], sigma_hat, math.e**2 * cfg.lambda0)
-    # Row i enters S_l exactly when l >= t_i = |r| - nbrs_i.
-    t = r.size - nbrs
-    sizes = np.cumsum(np.bincount(np.minimum(t, 2 * k + 1), minlength=2 * k + 2))[: 2 * k + 1]
-    score = int(min(k, np.min(n - sizes[: k + 1] + np.arange(k + 1))))
-    counts = np.clip(2 * k - np.maximum(k + 1, t) + 1, 0, k).astype(np.int64)
+    if nbrs.min() == r.size:  # t = 0 below for every row: all in every S_l
+        counts, score = np.full(n, k, dtype=np.int64), 0
+    else:
+        # Row i enters S_l exactly when l >= t_i = |r| - nbrs_i.
+        t = r.size - nbrs
+        sizes = np.cumsum(np.bincount(np.minimum(t, 2 * k + 1), minlength=2 * k + 2))
+        score = int(min(k, np.min(n - sizes[: k + 1] + np.arange(k + 1))))
+        counts = np.clip(2 * k - np.maximum(k + 1, t) + 1, 0, k).astype(np.int64)
     total = int(counts.sum())
     weights = counts / total if total > 0 else np.zeros(n)
     return WeightVectorOutput(weights=weights, counts=counts, score=score)
