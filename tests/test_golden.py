@@ -227,8 +227,8 @@ CHECK_GOLDEN = {
     ("density_lemmas", "strict"): "446d95a0004f05a8399ded35802ff143cf652f84fefad23f64f0fc66857f783c",
     ("matrix_bounds", "relaxed"): "c6e05632ae4a727178dc1937c2fa08e5676025af08d2456032a9804a836b5ed0",
     ("matrix_bounds", "strict"): "8b3acaad7311cb102df1c924875a2402d6fd195563417d08439c900bfd7a6171",
-    ("tail_facts", "relaxed"): "27394ec2b8fff86aeda3f28b377f8afba31b62370557fdf99392ef0fe15eec5f",
-    ("tail_facts", "strict"): "106c302b004413f321696c7414ca50fc7fed3c66c065cf42e886f59ba2254297",
+    ("tail_facts", "relaxed"): "9827cd0108f523abfed707710c9445e4ee32aa57f362f5955136b3b5f15d619d",
+    ("tail_facts", "strict"): "5b55ff122115a1f8bfb9528fe4172f5dc5834a6db6b56193fbff56b54b55b7aa",
     ("end_to_end", "relaxed"): "72a1f4e2b2c8f1ebc2a1b031c5cf2b7763858ebbcfbbf2b1e3afcfbcb44f11fb",
     ("end_to_end", "strict"): "9c0ba72016ce12f51ba3f8ee232ff024ed94c7d1c0afb454e6189c381d4cd652",
 }
