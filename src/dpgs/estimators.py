@@ -303,10 +303,11 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
 
     The whole block is decided first: when every ref is core and the inside
     test holds at max r_i and max |a_i|, every row counts every ref. Each
-    term of the inside test is nondecreasing in r_i and in |a_i| (and
-    correctly rounded arithmetic keeps that order), so this implies the
+    term of the inside test is nondecreasing in r_i and in |a_i|, and
+    correctly rounded arithmetic keeps that order, so this implies the
     per-row inside test for every row, and the counts are the per-row
-    certificate's.
+    certificate's. Its squares are products, as the per-row squares are:
+    a numpy scalar ``** 2`` calls pow, which can differ by an ulp.
     """
     an = np.sqrt(np.einsum("ij,ij->i", a, a))
     bn = np.sqrt(np.einsum("ij,ij->i", b, b))
@@ -321,8 +322,9 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     s = np.sqrt(np.einsum("ij,ij->i", bc, bc))
     core_radius = 0.5 * math.sqrt(lam)
     smax = s.max()
-    if smax <= core_radius and (r.max() + smax) ** 2 * (1.0 + _CERT_ETA) + (
-        _CERT_ETA * ((amax + bmax) ** 2 + lam) + _CERT_FLOOR
+    reach, span = r.max() + smax, amax + bmax
+    if smax <= core_radius and reach * reach * (1.0 + _CERT_ETA) + (
+        _CERT_ETA * (span * span + lam) + _CERT_FLOOR
     ) <= lam:
         return np.full(a.shape[0], b.shape[0], dtype=np.int64)
     core = s <= core_radius

@@ -135,6 +135,9 @@ def test_stable_cov_two_point_trace():
     assert out.counts.tolist() == [5]
     assert np.allclose(out.covariance(), [[2.0]])
     assert np.allclose(out.w_matrix, [[math.sqrt(2.0)]])
+    # no pairs at all: no scatter to form, an empty ladder and score 0
+    empty = stable_cov(np.zeros((0, 1)), CFG)
+    assert empty.score == 0 and empty.counts.size == 0
 
 
 def test_stable_cov_clean_data_uniform():
