@@ -270,8 +270,12 @@ class TestTailFacts:
 
     @pytest.mark.parametrize(
         "seed, draws",
-        [(30, TAIL_FACTS_MIN_DRAWS), (78, TAIL_FACTS_MIN_DRAWS), (126, TAIL_FACTS_MIN_DRAWS),
-         (423, TAIL_FACTS_MIN_DRAWS), (151, 30_000), (310, 30_000)],
+        [
+            pytest.param(seed, draws, id=str(seed))
+            for seed, draws in ((30, TAIL_FACTS_MIN_DRAWS), (78, TAIL_FACTS_MIN_DRAWS),
+                                (126, TAIL_FACTS_MIN_DRAWS), (423, TAIL_FACTS_MIN_DRAWS),
+                                (151, 30_000), (310, 30_000))
+        ],
     )
     def test_chance_fluctuations_of_correct_laws_pass(self, seed, draws):
         # the old fixed cutoffs failed these seeds: sphere_ks 0.0201 > 0.02

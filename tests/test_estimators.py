@@ -383,7 +383,7 @@ def whole_block_radius(x, ref, sigma):
     c = np.partition(b, b.shape[0] // 2, axis=0)[b.shape[0] // 2]
     r, s, an, bn = (np.sqrt(np.einsum("ij,ij->i", v, v)).max() for v in (a - c, b - c, a, b))
     eta = estimators._CERT_ETA
-    inside = ((r + s) ** 2 * (1.0 + eta) + eta * (an + bn) ** 2 + estimators._CERT_FLOOR)
+    inside = (r + s) ** 2 * (1.0 + eta) + eta * (an + bn) ** 2 + estimators._CERT_FLOOR
     return float(max(4.0 * s**2, inside / (1.0 - eta)))
 
 
