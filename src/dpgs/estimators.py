@@ -105,7 +105,7 @@ def pair_and_rescale(x: np.ndarray) -> np.ndarray:
 def _scatter_norms(ys: np.ndarray, m: int) -> np.ndarray:
     """Each row's norm ``y_i^T a^{-1} y_i`` under ``a = ys^T ys / m``, all
     +inf when a is singular (so every row is pruned at any threshold)."""
-    w, u = np.linalg.eigh((ys.T @ ys) / m)  # normalizer m, not |mask|
+    w, u = np.linalg.eigh((ys.T @ ys) / m)  # normalizer m, the full row count
     if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
         return np.full(ys.shape[0], np.inf)
     coords = ys @ u  # divided in place: a pass holds two m x d arrays at most
