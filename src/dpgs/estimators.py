@@ -1,11 +1,11 @@
 """Stability-scored covariance and mean estimators.
 
 The two estimators share one design: sweep a ladder of 2k+1 outlier
-thresholds, record how the retained subset degrades as the threshold
-tightens, and turn that degradation into an integer instability score with
-data-replacement sensitivity at most 2. Point weights are averaged retention
-indicators over the top half of the ladder, so a clean dataset gets exactly
-uniform weights and score 0.
+thresholds, record the rung at which each row enters the nested retained
+subsets, and turn those entry rungs, through one rule, into an integer
+instability score with data-replacement sensitivity at most 2 and into
+point weights: averaged retention indicators over the top half of the
+ladder, so a clean dataset gets exactly uniform weights and score 0.
 
 Index sets are 0-based numpy arrays throughout.
 """
@@ -163,68 +163,74 @@ def largest_good_subset(y: np.ndarray, lam: float) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _ladder_subset_sizes_and_counts(
+def _ladder_entry_rungs(
     y: np.ndarray, cfg: EstimatorConfig, norms: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sizes |S_l| for l = 0..2k and per-point retention counts over
-    l = k+1..2k, where S_l is largest_good_subset(y, lambda_l).
+) -> np.ndarray:
+    """Per row, the lowest rung l whose S_l = largest_good_subset(y,
+    lambda_l) holds it, or 2k+1 when no rung does.
 
-    One top-down sweep: rung 2k starts from the full set and every lower
-    rung starts from the rung above's fixed point. Since the pruning map is
-    monotone in the subset and in lambda (see largest_good_subset), the
-    greatest fixed points are nested, S_l in S_{l+1}, so iterating from
-    S_{l+1} at lambda_l reaches S_l exactly. The fixed point's own norms
-    carry over, and every lower rung whose threshold none of them exceeds
-    (the pruning test is ``norm > lambda``, so a norm equal to a threshold
-    stays and a NaN norm never prunes) keeps the same subset: one
-    searchsorted assigns that whole run of rungs without another pass.
-    Once a rung is empty every lower rung is. The warm start makes the
-    nesting hold in floating point by construction; restarting each rung
-    from the full set did not guarantee it. ``norms``, if given, are the
-    full set's norms (the top rung's warm start).
+    One top-down sweep: rung 2k starts from the full set (``norms``, if
+    given, are its norms) and every lower rung from the rung above's fixed
+    point. Since the pruning map is monotone in the subset and in lambda
+    (see largest_good_subset), the greatest fixed points are nested, so
+    iterating from S_{l+1} at lambda_l reaches S_l exactly; the warm start
+    makes that nesting hold in floating point by construction. The fixed
+    point's own norms carry over, and every lower rung whose threshold none
+    of them exceeds (a norm equal to a threshold stays, a NaN norm never
+    prunes) keeps the same subset, so one searchsorted finds the lowest
+    rung of that run without another pass. Once a rung is empty every lower
+    rung is.
     """
-    m = y.shape[0]
-    k = cfg.k
     thresholds = cfg.thresholds()
-    sizes = np.zeros(2 * k + 1, dtype=np.int64)
-    counts = np.zeros(m, dtype=np.int64)
-    mask = np.ones(m, dtype=bool)
-    ell = 2 * k
+    t = np.full(y.shape[0], 2 * cfg.k + 1, dtype=np.int64)
+    mask = np.ones(y.shape[0], dtype=bool)
+    ell = 2 * cfg.k
     while ell >= 0:
         norms = _prune_to_fixed_point(y, mask, float(thresholds[ell]), norms)
         if norms.size == 0:
             break
         top = np.max(norms, initial=-np.inf, where=~np.isnan(norms))
         low = int(np.searchsorted(thresholds, top, side="left"))
-        sizes[low : ell + 1] = norms.size
-        counts[mask] += max(0, ell - max(low, k + 1) + 1)
+        t[mask] = low
         ell = low - 1
-    return sizes, counts
+    return t
+
+
+def _ladder_counts_and_score(t: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """Retention counts and instability score of a nested ladder whose row
+    i enters at rung t_i: it is in S_l exactly when l >= t_i (t_i = 2k+1
+    for no rung). counts_i is the number of rungs l = k+1..2k holding row
+    i, and score = min(k, min_{0<=l<=k} (n - |S_l| + l)) with n = t.size.
+    When every t_i is 0, every rung holds every row: counts k, score 0.
+    """
+    n = t.size
+    if not t.any():
+        return np.full(n, k, dtype=np.int64), 0
+    sizes = np.cumsum(np.bincount(np.minimum(t, 2 * k + 1), minlength=2 * k + 2))
+    score = int(min(k, np.min(n - sizes[: k + 1] + np.arange(k + 1))))
+    counts = np.clip(2 * k - np.maximum(k + 1, t) + 1, 0, k).astype(np.int64)
+    return counts, score
 
 
 def stable_cov(x: np.ndarray, cfg: EstimatorConfig) -> WeightedCovOutput:
     """Replacement-stable covariance estimate with an instability score.
 
     x must have an even row count 2m. The pairing step absorbs the mean;
-    the ladder sweep yields score = min(k, min_{0<=l<=k} (m - |S_l| + l))
-    and weights w_i = counts_i / (k m) with counts over l = k+1..2k.
+    the ladder sweep's entry rungs give the score and the retention counts
+    (_ladder_counts_and_score), and weights w_i = counts_i / (k m).
 
     When the full set's scatter is nonsingular and no norm under it
-    exceeds the lowest rung lambda0 = thresholds()[0], the sweep would keep
-    every row on every rung (the top rung prunes nothing and the largest
-    norm searches to rung 0), so counts k and score 0 are set without it. A
-    NaN norm, or the +inf norms of a singular scatter, take the sweep.
+    exceeds lambda0, the lowest rung, the sweep would put every row on rung
+    0, so the entry rungs are set to 0 without it. A NaN norm, or the +inf
+    norms of a singular scatter, take the sweep.
     """
     y = pair_and_rescale(x)
     m = y.shape[0]
-    k = cfg.k
     norms = _scatter_norms(y, m) if m else None
-    if norms is not None and norms.max() <= cfg.lambda0:
-        counts, score = np.full(m, k, dtype=np.int64), 0
-    else:
-        sizes, counts = _ladder_subset_sizes_and_counts(y, cfg, norms)
-        score = int(min(k, np.min(m - sizes[: k + 1] + np.arange(k + 1))))
-    weights = counts / (k * m)
+    clean = norms is not None and norms.max() <= cfg.lambda0
+    t = np.zeros(m, dtype=np.int64) if clean else _ladder_entry_rungs(y, cfg, norms)
+    counts, score = _ladder_counts_and_score(t, cfg.k)
+    weights = counts / (cfg.k * m)
     w_matrix = (y * np.sqrt(weights)[:, None]).T
     return WeightedCovOutput(w_matrix=w_matrix, weights=weights, counts=counts, score=score)
 
@@ -410,9 +416,10 @@ def stable_mean(
     """Replacement-stable weight vector for a mean estimate.
 
     Sweeps the neighbor quota tau = |r| - l for l = 0..2k over the fixed
-    radius ``e^2 * lambda0``, scoring like stable_cov and
-    counting retention over l = k+1..2k; weights are counts / sum(counts),
-    or all zero when no row is ever retained.
+    radius ``e^2 * lambda0``: row i is on rung l when it has at least tau
+    neighbors, and the entry rungs give the score and the retention counts
+    as in stable_cov. Weights are counts / sum(counts), or all zero when no
+    row is ever retained.
 
     Neighbor counts come from neighbor_counts. They equal those of the
     dense matrix of expanded squared distances aa + bb - 2ab between the
@@ -440,14 +447,7 @@ def stable_mean(
             stacklevel=2,
         )
     nbrs = neighbor_counts(x, x[r], sigma_hat, math.e**2 * cfg.lambda0)
-    if nbrs.min() == r.size:  # t = 0 below for every row: all in every S_l
-        counts, score = np.full(n, k, dtype=np.int64), 0
-    else:
-        # Row i enters S_l exactly when l >= t_i = |r| - nbrs_i.
-        t = r.size - nbrs
-        sizes = np.cumsum(np.bincount(np.minimum(t, 2 * k + 1), minlength=2 * k + 2))
-        score = int(min(k, np.min(n - sizes[: k + 1] + np.arange(k + 1))))
-        counts = np.clip(2 * k - np.maximum(k + 1, t) + 1, 0, k).astype(np.int64)
+    counts, score = _ladder_counts_and_score(r.size - nbrs, k)
     total = int(counts.sum())
     weights = counts / total if total > 0 else np.zeros(n)
     return WeightVectorOutput(weights=weights, counts=counts, score=score)

@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 from dpgs import estimators
 from dpgs.estimators import (
     EstimatorConfig,
-    _ladder_subset_sizes_and_counts,
+    _ladder_counts_and_score,
+    _ladder_entry_rungs,
     largest_good_subset,
     neighbor_counts,
     pair_and_rescale,
@@ -224,17 +225,55 @@ def reference_good_subset(y, lam):
 
 
 def restart_ladder(y, cfg):
-    """Reference ladder: every rung restarts from the full set."""
+    """Reference ladder: every rung restarts from the full set. Returns each
+    rung's subset, the sizes and the top-half retention counts."""
     k = cfg.k
+    subsets = []
     sizes = np.zeros(2 * k + 1, dtype=np.int64)
     counts = np.zeros(y.shape[0], dtype=np.int64)
     for ell, lam in enumerate(cfg.thresholds()):
         subset = reference_good_subset(y, lam)
         assert np.array_equal(largest_good_subset(y, float(lam)), subset)
+        subsets.append(subset)
         sizes[ell] = subset.size
         if ell > k:
             counts[subset] += 1
-    return sizes, counts
+    return subsets, sizes, counts
+
+
+def ladder_rule_by_definition(t, k):
+    """Counts and score from entry rungs, rung by rung: S_l = {i : t_i <= l},
+    counts_i = #{l in k+1..2k : i in S_l}, score = min(k, min_{l<=k}
+    (n - |S_l| + l)). Written out on its own, with no shortcut."""
+    n = len(t)
+    sizes = [sum(1 for ti in t if ti <= ell) for ell in range(2 * k + 1)]
+    counts = [sum(1 for ell in range(k + 1, 2 * k + 1) if ti <= ell) for ti in t]
+    score = min(k, min(n - sizes[ell] + ell for ell in range(k + 1)))
+    return np.array(counts, dtype=np.int64), score
+
+
+@pytest.mark.parametrize("k", [5, 33])
+def test_ladder_rule_matches_definition(k):
+    # Every t_i = 0 takes the rule's shortcut; every other vector the
+    # bincount form. Both must equal the rung-by-rung definition.
+    gen = np.random.default_rng(k)
+    cases = [
+        np.zeros(40, dtype=np.int64),
+        np.full(40, 2 * k + 1, dtype=np.int64),
+        np.zeros(0, dtype=np.int64),
+        *(np.array([v], dtype=np.int64) for v in range(2 * k + 2)),
+    ]
+    for n in (2, 7, 40, 300):
+        cases.append(gen.integers(0, 2 * k + 2, size=n))
+        cases.append(np.where(gen.random(n) < 0.9, 0, gen.integers(1, 2 * k + 2, size=n)))
+        cases.append(gen.integers(k - 1, k + 3, size=n))
+    for t in cases:
+        counts, score = _ladder_counts_and_score(t, k)
+        want_counts, want_score = ladder_rule_by_definition(t.tolist(), k)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, want_counts), t
+        assert score == want_score, t
+        assert 0 <= score <= k
 
 
 def _planted(gen, n, d):
@@ -308,10 +347,10 @@ def lambda0_for_threshold(top, ell, k):
 def assert_ladder_matches_restart(x, cfg):
     k = cfg.k
     y = pair_and_rescale(x)
-    sizes, counts = restart_ladder(y, cfg)
-    got_sizes, got_counts = _ladder_subset_sizes_and_counts(y, cfg)
-    assert np.array_equal(got_sizes, sizes)
-    assert np.array_equal(got_counts, counts)
+    subsets, sizes, counts = restart_ladder(y, cfg)
+    t = _ladder_entry_rungs(y, cfg)
+    for ell, subset in enumerate(subsets):
+        assert np.array_equal(np.flatnonzero(t <= ell), subset)
     out = stable_cov(x, cfg)
     pairs = y.shape[0]
     score = int(min(k, np.min(pairs - sizes[: k + 1] + np.arange(k + 1))))
@@ -323,8 +362,8 @@ def assert_ladder_matches_restart(x, cfg):
 @pytest.mark.parametrize("name", sorted(LADDER_INPUTS))
 @pytest.mark.parametrize("k", [5, 33])
 def test_ladder_matches_restart_from_full_set(name, k):
-    # The warm-started sweep must equal the per-rung restart bit for bit,
-    # in the ladder sizes and counts and in stable_cov's score and weights.
+    # The warm-started sweep's entry rungs must give the per-rung restart's
+    # subsets exactly, and stable_cov its score, counts and weights.
     # Each first dataset also runs at lambda0 values that put a rung
     # threshold exactly on the full set's largest norm: a norm equal to a
     # threshold does not prune, so rung skipping must keep that rung.
