@@ -1,5 +1,6 @@
 """Audit harness: report plumbing, plan shapes, and each check at small sizes."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -58,7 +59,7 @@ class TestPlans:
 
 class TestReportPlumbing:
     def test_json_line_shape(self):
-        rep = AuditReport("demo", "relaxed", 3, 0, {"b": 1.0, "a": 2.0}, "pass", 9)
+        rep = AuditReport("demo", "relaxed", 3, 0, {"b": 1.0, "a": 2.0}, 9)
         line = rep.to_json_line()
         data = json.loads(line)
         assert data["format_version"] == 1
@@ -69,13 +70,15 @@ class TestReportPlumbing:
 
     def test_csv_summary(self):
         reps = [
-            AuditReport("x", "relaxed", 2, 0, {}, "pass", 1),
-            AuditReport("y", "strict", 5, 1, {}, "fail", 1),
+            AuditReport("x", "relaxed", 2, 0, {}, 1),
+            AuditReport("y", "strict", 5, 1, {}, 1),
         ]
         text = reports_to_csv(reps)
         lines = text.strip().split("\n")
         assert lines[0] == "format_version,check_id,mode,trials,failures,verdict,seed"
         assert len(lines) == 3
+        # the verdict is derived from the failure count
+        assert lines[1] == "1,x,relaxed,2,0,pass,1"
         assert lines[2] == "1,y,strict,5,1,fail,1"
 
     def test_run_checks_deterministic(self):
@@ -123,7 +126,7 @@ class TestReportPlumbing:
                 # hang, if the checks do not run at once
                 assert later is None or done[later].wait(timeout=10.0)
                 done[name].set()
-                return [AuditReport(name, mode, trials, 0, {}, "pass", seed)]
+                return [AuditReport(name, mode, trials, 0, {}, seed)]
 
             return run
 
@@ -216,6 +219,15 @@ class TestUtilityEvents:
         assert rep.verdict == "pass"
         assert rep.failures == 0
         assert rep.statistics["p_uniform_scores0"] >= rep.statistics["required"]
+
+    def test_uniform_rate_shortfall_is_one_failure(self):
+        # at lambda0 = 1 no dataset meets the event (so no implication can
+        # fail) and none scores 0: the rate shortfall alone fails the report
+        sp = dataclasses.replace(strict_plan(1), lambda0=1.0)
+        rep = audit_utility_events(10, sp, RngStream(7, 6))
+        assert rep.statistics["p_uniform_scores0"] < rep.statistics["required"]
+        assert rep.failures == 1
+        assert rep.verdict == "fail"
 
     def test_scaled_gaussian(self):
         rep = audit_utility_events(

@@ -400,7 +400,7 @@ class TestAudit:
 
     def test_failing_verdict_exits_one(self, capsys, monkeypatch):
         def fake(trials, mode, seed):
-            return [AuditReport("density_lemmas", mode, 1, 1, {}, "fail", seed)]
+            return [AuditReport("density_lemmas", mode, 1, 1, {}, seed)]
 
         monkeypatch.setitem(audit_mod.REGISTRY, "density_lemmas", fake)
         code, _, err = run_cli(capsys, "audit", "--check", "density_lemmas", "--seed", "1")
