@@ -20,7 +20,6 @@ from scipy import integrate
 
 from .exceptions import (
     DimensionMismatch,
-    DimensionTooHigh,
     NotPD,
     OutOfSupport,
     PreconditionViolated,
@@ -379,30 +378,24 @@ class TvEstimate:
 
 
 def tv_histogram(samples_a: np.ndarray, samples_b: np.ndarray, rng: RngStream) -> TvEstimate:
-    """Total-variation estimate between two sample sets (dimension <= 3).
+    """Total-variation estimate between two 1-d sample sets.
 
-    Uses ceil(n^(1/3)) equal-width bins per axis over the pooled range,
-    where n is the smaller sample count; rng drives the 200 bootstrap and
-    200 null rounds.
+    Uses ceil(n^(1/3)) equal-width bins over the pooled range, where n is
+    the smaller sample count; rng drives the 200 bootstrap and 200 null
+    rounds.
     """
-    a = _as_sample_matrix(samples_a)
-    b = _as_sample_matrix(samples_b)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch("sample sets differ in dimension")
-    d = a.shape[1]
-    if d > 3:
-        raise DimensionTooHigh(f"histogram TV supports dimension <= 3, got {d}")
-    n_a, n_b = a.shape[0], b.shape[0]
+    a = np.asarray(samples_a, dtype=float)
+    b = np.asarray(samples_b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise DimensionMismatch(f"samples must be 1-d, got shapes {a.shape} and {b.shape}")
+    n_a, n_b = a.size, b.size
     if min(n_a, n_b) < 2:
         raise PreconditionViolated("need at least 2 samples on each side")
     bins = math.ceil(min(n_a, n_b) ** (1.0 / 3.0))
-    pooled = np.vstack([a, b])
-    edges = [
-        np.linspace(pooled[:, j].min(), pooled[:, j].max() + 1e-9, bins + 1)
-        for j in range(d)
-    ]
-    count_a = np.histogramdd(a, bins=edges)[0].reshape(-1)
-    count_b = np.histogramdd(b, bins=edges)[0].reshape(-1)
+    pooled = np.concatenate([a, b])
+    edges = np.linspace(pooled.min(), pooled.max() + 1e-9, bins + 1)
+    count_a = np.histogram(a, bins=edges)[0]
+    count_b = np.histogram(b, bins=edges)[0]
     raw_tv = 0.5 * float(np.abs(count_a / n_a - count_b / n_b).sum())
 
     gen = rng.generator()
@@ -426,12 +419,3 @@ def tv_histogram(samples_a: np.ndarray, samples_b: np.ndarray, rng: RngStream) -
         null_bias=null_bias,
         bins_per_axis=bins,
     )
-
-
-def _as_sample_matrix(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.ndim != 2:
-        raise DimensionMismatch(f"samples must be 1-d or 2-d, got shape {x.shape}")
-    return x

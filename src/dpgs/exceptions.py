@@ -53,10 +53,6 @@ class QuadratureFailure(DpgsError, RuntimeError):
     """Numerical integration did not reach the requested accuracy."""
 
 
-class DimensionTooHigh(DpgsError, ValueError):
-    """Histogram comparisons are limited to low dimension."""
-
-
 class NoConvergence(DpgsError, RuntimeError):
     """An iterative computation failed to reach a fixed point."""
 

@@ -19,7 +19,7 @@ from dpgs.divergences import (
     weak_triangle_check,
 )
 from dpgs.exceptions import (
-    DimensionTooHigh,
+    DimensionMismatch,
     OutOfSupport,
     PreconditionViolated,
     SupportMismatch,
@@ -247,8 +247,11 @@ def test_tv_histogram_recovers_gaussian_shift():
     assert est.tv == pytest.approx(0.6826894921370859, abs=0.03)
 
 
-def test_tv_histogram_dimension_cap_and_bins():
+def test_tv_histogram_rejects_2d_samples():
     gen = np.random.default_rng(49)
-    a = gen.standard_normal((500, 4))
-    with pytest.raises(DimensionTooHigh):
-        tv_histogram(a, a, rng=RngStream(4))
+    for shape in ((500, 1), (500, 4)):
+        a = gen.standard_normal(shape)
+        with pytest.raises(DimensionMismatch):
+            tv_histogram(a, a, rng=RngStream(4))
+        with pytest.raises(DimensionMismatch):
+            tv_histogram(a[:, 0], a, rng=RngStream(4))
