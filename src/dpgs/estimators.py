@@ -198,18 +198,19 @@ def _ladder_entry_rungs(
 
 def _ladder_counts_and_score(t: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     """Retention counts and instability score of a nested ladder whose row
-    i enters at rung t_i: it is in S_l exactly when l >= t_i (t_i = 2k+1
+    i enters at rung t_i: it is in S_l exactly when l >= t_i (t_i > 2k
     for no rung). counts_i is the number of rungs l = k+1..2k holding row
     i, and score = min(k, min_{0<=l<=k} (n - |S_l| + l)) with n = t.size.
     When every t_i is 0, every rung holds every row: counts k, score 0.
     """
+    # methods and count_nonzero: each np.* reduction wrapper costs microseconds
     n = t.size
-    if not t.any():
+    if not np.count_nonzero(t):
         return np.full(n, k, dtype=np.int64), 0
-    sizes = np.cumsum(np.bincount(np.minimum(t, 2 * k + 1), minlength=2 * k + 2))
-    score = int(min(k, np.min(n - sizes[: k + 1] + np.arange(k + 1))))
-    counts = np.clip(2 * k - np.maximum(k + 1, t) + 1, 0, k).astype(np.int64)
-    return counts, score
+    t = np.minimum(t, 2 * k + 1)
+    sizes = np.bincount(t, minlength=k + 1)[: k + 1].cumsum()
+    score = min(k, int((n - sizes + np.arange(k + 1)).min()))
+    return 2 * k + 1 - np.maximum(t, k + 1), score
 
 
 def stable_cov(x: np.ndarray, cfg: EstimatorConfig) -> WeightedCovOutput:
@@ -416,10 +417,9 @@ def stable_mean(
     """Replacement-stable weight vector for a mean estimate.
 
     Sweeps the neighbor quota tau = |r| - l for l = 0..2k over the fixed
-    radius ``e^2 * lambda0``: row i is on rung l when it has at least tau
-    neighbors, and the entry rungs give the score and the retention counts
-    as in stable_cov. Weights are counts / sum(counts), or all zero when no
-    row is ever retained.
+    radius ``e^2 * lambda0`` (row i is on rung l when it has at least tau
+    neighbors), scoring and counting as stable_cov does; weights are
+    counts / sum(counts), or all zero when no row is ever retained.
 
     Neighbor counts come from neighbor_counts. They equal those of the
     dense matrix of expanded squared distances aa + bb - 2ab between the
