@@ -207,10 +207,10 @@ def _ladder_counts_and_score(t: np.ndarray, k: int) -> tuple[np.ndarray, int]:
     n = t.size
     if not np.count_nonzero(t):
         return np.full(n, k, dtype=np.int64), 0
-    t = np.minimum(t, 2 * k + 1)
-    sizes = np.bincount(t, minlength=k + 1)[: k + 1].cumsum()
+    late = t[t > 0]  # bincount slows on one crowded bin, here the t_i = 0 rows
+    sizes = n - late.size + np.bincount(late, minlength=k + 1)[: k + 1].cumsum()
     score = min(k, int((n - sizes + np.arange(k + 1)).min()))
-    return 2 * k + 1 - np.maximum(t, k + 1), score
+    return np.maximum(2 * k + 1 - np.maximum(t, k + 1), 0), score
 
 
 def stable_cov(x: np.ndarray, cfg: EstimatorConfig) -> WeightedCovOutput:

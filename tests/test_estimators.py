@@ -267,6 +267,7 @@ def test_ladder_rule_matches_definition(k):
         cases.append(gen.integers(0, 2 * k + 2, size=n))
         cases.append(np.where(gen.random(n) < 0.9, 0, gen.integers(1, 2 * k + 2, size=n)))
         cases.append(gen.integers(k - 1, k + 3, size=n))
+        cases.append(gen.integers(0, 3 * k, size=n))  # stable_mean's t_i can pass 2k+1
     for t in cases:
         counts, score = _ladder_counts_and_score(t, k)
         want_counts, want_score = ladder_rule_by_definition(t.tolist(), k)
