@@ -266,6 +266,14 @@ def neighbor_counts(
     rounding error itself could reach lam, and when any pair lies within
     that slack of lam.
 
+    When ``ref is x`` (a block that is its own reference set) x is
+    whitened once and that one array serves as both a and b. ``ref @ u``
+    on a separate array with the same values and layout runs the same BLAS
+    call on the same bytes, so for a C-contiguous x the counts are those of
+    ``neighbor_counts(x, x.copy(), ...)``. The dense products are still
+    taken against a separate operand: numpy routes ``a @ a.T`` to syrk,
+    whose rounding differs from the gemm of two arrays.
+
     sigma must be PSD (NotPD otherwise). A singular or zero sigma uses the
     pseudoinverse-limit convention of linalg.range_mask: differences
     outside range(sigma) get +inf while differences inside it (in
@@ -277,8 +285,9 @@ def neighbor_counts(
         raise DimensionMismatch("row dimension does not match sigma")
     w, u = np.linalg.eigh(sigma)
     keep = range_mask(w)
-    xk = (x @ u[:, keep]) / np.sqrt(w[keep])
-    rk = (ref @ u[:, keep]) / np.sqrt(w[keep])
+    u_keep, root = u[:, keep], np.sqrt(w[keep])
+    xk = (x @ u_keep) / root
+    rk = xk if ref is x else (ref @ u_keep) / root
     if np.all(keep):
         counts = _certified_counts(xk, rk, lam)
         if counts is not None:
@@ -290,7 +299,9 @@ def neighbor_counts(
         # distance itself, and rotating it by u would only add rounding
         null_mass = raw
         if np.any(keep):
-            null_mass = _pairwise_sq_euclid(x @ u[:, ~keep], ref @ u[:, ~keep])
+            u_null = u[:, ~keep]
+            x_null = x @ u_null
+            null_mass = _pairwise_sq_euclid(x_null, x_null if ref is x else ref @ u_null)
         dist = np.where(outside_range(null_mass, raw), np.inf, dist)
     return np.sum(dist <= lam, axis=1)
 
@@ -304,9 +315,23 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     core when (r_i + rho)^2 (1 + eta) + slack_i <= lam, and none of it when
     r_i > rho and (r_i - rho)^2 (1 - eta) - slack_i > lam, with
     slack_i = eta ((|a_i| + max_core |b|)^2 + lam). Rows that neither test
-    decides, and every row against the far refs, go pair by pair through
-    _certified_pairs. All tests are written so that a NaN or an overflow to
-    inf leaves the pair undecided.
+    decides go pair by pair through _certified_pairs. All tests are written
+    so that a NaN or an overflow to inf leaves the pair undecided.
+
+    Each far ref (s_j > sqrt(lam)/2) is first tested against every row by
+    the triangle bound T >= (r_i - s_j)^2: the pair is outside when
+    (r_i - s_j)^2 - eta ((r_i + s_j)^2 + (|a_i| + |b_j|)^2 + lam) > lam.
+    c is a copy of entries of b, and the centered rows and their norms are
+    computed to a relative error of about gamma_{d+2}, so the computed gap
+    |r_i - s_j| is within gamma_{d+2} (r_i + s_j) of the true one and its
+    square within 3 gamma_{d+2} (r_i + s_j)^2 (the gap is at most
+    r_i + s_j). The (r_i + s_j)^2 term covers that, the (|a_i| + |b_j|)^2
+    term the dense rounding, and eta is far above both. Without the first
+    term a row and a far ref near the origin, both about 1e7 from a center
+    set by the other refs, would be decided on a squared gap whose rounding
+    error is some 50 times the rest of the slack. Only rows with a far ref
+    that this test leaves undecided go through _certified_pairs against
+    the far refs.
 
     The whole block is decided first: when every ref is core and the inside
     test holds at max r_i and max |a_i|, every row counts every ref. Each
@@ -315,18 +340,26 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     per-row inside test for every row, and the counts are the per-row
     certificate's. Its squares are products, as the per-row squares are:
     a numpy scalar ``** 2`` calls pow, which can differ by an ulp.
+
+    When ``b is a`` (the block is its own reference set) the norms, the
+    centered rows and their norms are computed once and serve both sides;
+    they are the values the two-array computation gives, as each is a
+    row-wise function of identical inputs.
     """
     an = np.sqrt(np.einsum("ij,ij->i", a, a))
-    bn = np.sqrt(np.einsum("ij,ij->i", b, b))
+    bn = an if b is a else np.sqrt(np.einsum("ij,ij->i", b, b))
     amax, bmax = an.max(), bn.max()
     if not _CERT_ETA * (amax + bmax) ** 2 < lam:
         return None
     half = b.shape[0] // 2
     c = np.partition(b, half, axis=0)[half]
     ac = a - c
-    bc = b - c
     r = np.sqrt(np.einsum("ij,ij->i", ac, ac))
-    s = np.sqrt(np.einsum("ij,ij->i", bc, bc))
+    if b is a:
+        bc, s = ac, r
+    else:
+        bc = b - c
+        s = np.sqrt(np.einsum("ij,ij->i", bc, bc))
     core_radius = 0.5 * math.sqrt(lam)
     smax = s.max()
     reach, span = r.max() + smax, amax + bmax
@@ -335,6 +368,7 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     ) <= lam:
         return np.full(a.shape[0], b.shape[0], dtype=np.int64)
     core = s <= core_radius
+    far = ~core
     counts = np.zeros(a.shape[0], dtype=np.int64)
     pending = np.ones(a.shape[0], dtype=bool)
     if core.any():
@@ -344,8 +378,16 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
         outside = (r > rho) & ((r - rho) ** 2 * (1.0 - _CERT_ETA) - slack > lam)
         counts[inside] = np.count_nonzero(core)
         pending = ~(inside | outside)
-    everyone = np.ones(a.shape[0], dtype=bool)
-    for rows, cols in ((pending, core), (everyone, ~core)):
+    near_far = np.zeros(a.shape[0], dtype=bool)
+    if far.any():
+        sf = s[far]
+        gap = r[:, None] - sf
+        slack = (
+            _CERT_ETA * ((r[:, None] + sf) ** 2 + (an[:, None] + bn[far]) ** 2 + lam)
+            + _CERT_FLOOR
+        )
+        near_far = ~(gap * gap - slack > lam).all(axis=1)
+    for rows, cols in ((pending, core), (near_far, far)):
         if not (rows.any() and cols.any()):
             continue
         inside = _certified_pairs(
@@ -390,22 +432,26 @@ def _pairwise_sq_euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] == 0:
         return np.zeros((a.shape[0], b.shape[0]))
     aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
+    if b is a:
+        bb, b = aa, a.copy()  # a @ a.T would take syrk, which rounds unlike gemm
+    else:
+        bb = np.einsum("ij,ij->i", b, b)
     sq = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
     return np.clip(sq, 0.0, None)
 
 
-def _check_reference(r: np.ndarray, n: int) -> np.ndarray:
+def _check_reference(r: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+    """The validated reference indices, and whether they are arange(n)."""
     r = np.asarray(r, dtype=np.int64).reshape(-1)
     if r.size == 0:
         raise EmptyReferenceSet("reference set is empty")
     if r[0] >= 0 and r[-1] < n and np.all(r[1:] > r[:-1]):
-        return r  # strictly increasing, so in range and distinct
+        return r, r.size == n  # strictly increasing, so in range and distinct
     if np.any(r < 0) or np.any(r >= n):
         raise PreconditionViolated("reference indices out of range")
     if np.bincount(r, minlength=n).max() > 1:
         raise PreconditionViolated("reference indices must be distinct")
-    return r
+    return r, False
 
 
 def stable_mean(
@@ -428,15 +474,29 @@ def stable_mean(
     1e-12 decide most pairs without forming that matrix. They decline, and
     the dense matrix is formed, when sigma_hat is singular, when a pair's
     distance lies within the slack of the radius, and when the data sit so
-    far from the origin in whitened units (roughly 1e6 times the radius's
-    square root) that the dense rounding error itself could reach the
-    radius. A sigma_hat that is not PSD raises NotPD before any count.
+    far from the origin in whitened units that the dense rounding error
+    itself could reach the radius: 1e-12 (max|a| + max|b|)^2 >= radius,
+    which for a block that is its own reference set is a whitened offset
+    of about 5e5 times the radius's square root. A sigma_hat that is not
+    PSD raises NotPD before any count.
+
+    When r is arange(n) the block is its own reference set, and x itself is
+    passed as the reference, so neighbor_counts whitens and centers it
+    once. For a C-contiguous x (a row slice of a C-contiguous dataset is
+    one) that gives the counts of the gathered copy x[r], which has the
+    same bytes and layout. Any other r, a permutation
+    of arange(n) included, is gathered: moving a row can change the
+    rounding of the whitening product. For a block that is not
+    C-contiguous, x and its gathered copy may differ in layout, so the
+    whitened reference rows may differ from the copy's in the last bit;
+    that can move a count only for a pair within rounding of the radius,
+    which the certificates leave to the dense matrix.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d dataset, got shape {x.shape}")
     n = x.shape[0]
-    r = _check_reference(r, n)
+    r, whole = _check_reference(r, n)
     k = cfg.k
     ref_floor = stability_floors(k, cfg.lambda0)[2]
     if r.size <= ref_floor:
@@ -446,7 +506,7 @@ def stable_mean(
             RuntimeWarning,
             stacklevel=2,
         )
-    nbrs = neighbor_counts(x, x[r], sigma_hat, math.e**2 * cfg.lambda0)
+    nbrs = neighbor_counts(x, x if whole else x[r], sigma_hat, math.e**2 * cfg.lambda0)
     counts, score = _ladder_counts_and_score(r.size - nbrs, k)
     total = int(counts.sum())
     weights = counts / total if total > 0 else np.zeros(n)

@@ -498,6 +498,105 @@ def test_neighbor_counts_match_dense_matrix(name, d):
                 got = neighbor_counts(x, ref, sigma, lam)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (n, sigma_name, lam)
+            if sigma_name in ("estimate", "identity"):
+                _check_far_ref_at_the_radius(x, ref, sigma, lams[:3])
+
+
+def _check_far_ref_at_the_radius(x, ref, sigma, lams):
+    # A far ref (1 +- 1e-9) of the radius beyond the row farthest from the
+    # ref median, on the line through both: the triangle bound is nearly
+    # tight there, so it must decide the pair or pass it on, also at radii
+    # equal to the pair's exact dense value.
+    w, u = np.linalg.eigh(sigma)
+    a, b = (x @ u) / np.sqrt(w), (ref @ u) / np.sqrt(w)
+    off = a - np.median(b, axis=0)
+    i = int(np.argmax(np.einsum("ij,ij->i", off, off)))
+    e = off[i] / (np.linalg.norm(off[i]) or 1.0)
+    for lam in lams:
+        for rel in (1.0 - 1e-9, 1.0 + 1e-9):
+            refs = np.vstack([ref, x[i] + u @ (np.sqrt(w) * e) * (math.sqrt(lam) * rel)])
+            dist = dense_mahalanobis_sq(x, refs, sigma)
+            pair = dist[i, -1]
+            for radius in (lam, float(pair), float(np.nextafter(pair, 0.0))):
+                want = np.sum(dist <= radius, axis=1)
+                assert np.array_equal(neighbor_counts(x, refs, sigma, radius), want), (
+                    lam, rel, radius,
+                )
+
+
+@pytest.mark.parametrize("d", [1, 3, 20])
+def test_far_refs_across_a_distant_center(d):
+    # Most rows and refs sit 9e6 from the origin, so the center c does too;
+    # one row and two refs near the origin are then far refs, all on one
+    # line, where the triangle bound (r_i - s_j)^2 equals the true distance.
+    # The gap r_i - s_j carries a rounding error of about 1e-9, and its
+    # square one of about 1e-7 against 2e-9 for eta ((|a_i| + |b_j|)^2 +
+    # lam): only the eta (r_i + s_j)^2 term keeps the row undecided at the
+    # exact dense value of its nearest ref. Each trial draws a new center,
+    # and so new rounding errors.
+    gen = np.random.default_rng(d)
+    v = gen.standard_normal(d)
+    v /= np.linalg.norm(v)
+    sigma = np.eye(d)
+    for _ in range(8):
+        near_refs = gen.uniform(-5.0, 5.0, 2)
+        near_row = near_refs.max() + gen.uniform(20.0, 25.0, 1)
+        x = np.r_[9e6 + gen.standard_normal(50), near_row][:, None] * v
+        ref = np.r_[9e6 + gen.standard_normal(50), near_refs][:, None] * v
+        dist = dense_mahalanobis_sq(x, ref, sigma)
+        nearest = dist[-1, 50:].min()  # 400 to 900, above 4 eta (9e6)^2 = 324
+        for lam in (float(nearest), float(np.nextafter(nearest, 0.0))):
+            want = np.sum(dist <= lam, axis=1)
+            assert np.array_equal(neighbor_counts(x, ref, sigma, lam), want), lam
+
+
+def _self_reference_block(kind, d, gen):
+    """A block and sigma for each path of the self-reference kernel, and
+    whether that path forms the dense matrix."""
+    x = 2.0 * gen.standard_normal((150, d))
+    sigma = np.cov(x.T).reshape(d, d)
+    if kind == "far_rows":  # the triangle bound decides the far refs
+        rows = gen.choice(x.shape[0], size=int(gen.integers(1, 4)), replace=False)
+        x[rows] = 1e6 * gen.choice([-1.0, 1.0], size=(rows.size, d))
+    elif kind == "offset_1e9":  # the certificate declines: the dense fallback
+        x += 1e9 * np.sqrt(np.diag(sigma))
+    elif kind == "singular_sigma":  # the null-space path (the zero matrix at d = 1)
+        sigma = np.diag(np.r_[np.full(d - 1, 4.0), 0.0])
+        x[::2, -1] = 0.5  # zero null mass between these rows
+    elif kind == "zero_sigma":  # exact ties only
+        sigma = np.zeros((d, d))
+        x[:50] = x[50:100]
+    return x, sigma, kind in ("offset_1e9", "singular_sigma", "zero_sigma")
+
+
+@pytest.mark.parametrize(
+    "kind", ["clean", "far_rows", "offset_1e9", "singular_sigma", "zero_sigma"]
+)
+@pytest.mark.parametrize("d", [1, 3, 20])
+def test_self_reference_counts_match_a_copy(monkeypatch, kind, d):
+    # A block that is its own reference set is whitened and centered once,
+    # and its dense products still run against a separate operand, so the
+    # counts equal those against a copy bit for bit.
+    gen = np.random.default_rng([d, *kind.encode()])
+    x, sigma, dense_path = _self_reference_block(kind, d, gen)
+    dense = estimators._pairwise_sq_euclid
+    calls = []
+    monkeypatch.setattr(
+        estimators, "_pairwise_sq_euclid", lambda a, b: calls.append(a.shape) or dense(a, b)
+    )
+    lams = [math.e**2 * lambda0 for lambda0 in (1.0, 30.0, 300.0)]
+    assert neighbor_counts(x, x, sigma, lams[1]).shape == (x.shape[0],)
+    assert bool(calls) == dense_path
+    pair_values = dense_mahalanobis_sq(x, x.copy(), sigma).ravel()
+    pair_values = pair_values[np.isfinite(pair_values) & (pair_values > 0.0)]
+    if pair_values.size:  # none under a zero sigma: ties are 0, the rest inf
+        picks = gen.choice(pair_values, size=4)
+        lams += [float(v) for v in np.r_[picks, np.nextafter(picks, 0.0)]]
+    for lam in lams:
+        want = neighbor_counts(x, x.copy(), sigma, lam)
+        got = neighbor_counts(x, x, sigma, lam)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), lam
 
 
 def test_certificate_skips_the_dense_matrix_on_clean_data(monkeypatch):

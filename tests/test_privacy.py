@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -108,6 +109,30 @@ def test_plan_reference_size_can_dominate_n1():
     # at desk scale the reference-set floor is what sets n1
     sp = plan(0.2, PrivacyParams(1.0, 0.05), 1)
     assert sp.n1 == sp.ref_size
+
+
+def test_golden_grid_plans_use_the_whole_mean_block_as_reference():
+    # The grid of the plan digest in test_golden. At ref_size == n1 the
+    # reference set is arange(n1) whatever the stream, so stable_mean counts
+    # the mean block against itself on one whitened array. Only c1 = 3 at
+    # eps = 0.3, delta = 1e-6 and d >= 20 lets the c1 term set n1 above the
+    # reference size; a plan change that moves this set moves the samplers
+    # on or off that path.
+    grid = itertools.product(
+        (0.05, 0.2, 0.5),
+        ((1.0, 0.05), (0.3, 1e-6), (0.9, 1e-3)),
+        (1, 2, 5, 20, 100),
+        ((1.0, 1.0), (3.0, 40.0), (1.0, 2640.0)),
+    )
+    gathered = set()
+    for alpha, (eps, delta), d, (c1, c2) in grid:
+        sp = plan(alpha, PrivacyParams(eps, delta), d, c1, c2)
+        assert sp.ref_size <= sp.n1
+        if sp.ref_size < sp.n1:
+            gathered.add((alpha, eps, delta, d, c1, c2))
+    assert gathered == {
+        (alpha, 0.3, 1e-6, d, 3.0, 40.0) for alpha in (0.05, 0.2, 0.5) for d in (20, 100)
+    }
 
 
 def test_plan_scales_with_dimension():
