@@ -480,17 +480,14 @@ def stable_mean(
     of about 5e5 times the radius's square root. A sigma_hat that is not
     PSD raises NotPD before any count.
 
-    When r is arange(n) the block is its own reference set, and x itself is
-    passed as the reference, so neighbor_counts whitens and centers it
-    once. For a C-contiguous x (a row slice of a C-contiguous dataset is
-    one) that gives the counts of the gathered copy x[r], which has the
-    same bytes and layout. Any other r, a permutation
-    of arange(n) included, is gathered: moving a row can change the
-    rounding of the whitening product. For a block that is not
-    C-contiguous, x and its gathered copy may differ in layout, so the
-    whitened reference rows may differ from the copy's in the last bit;
-    that can move a count only for a pair within rounding of the radius,
-    which the certificates leave to the dense matrix.
+    When r is arange(n), x itself is the reference, so neighbor_counts
+    whitens and centers it once. For a C-contiguous x that gives the counts
+    of the gathered copy x[r], which has the same bytes and layout. Any
+    other r, a permutation of arange(n) included, is gathered, since moving
+    a row can change the rounding of the whitening product. A block that is
+    not C-contiguous may whiten its reference rows differently from the
+    copy in the last bit, which can move a count only for a pair within
+    rounding of the radius, on the dense path.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:

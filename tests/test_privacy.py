@@ -115,9 +115,9 @@ def test_golden_grid_plans_use_the_whole_mean_block_as_reference():
     # The grid of the plan digest in test_golden. At ref_size == n1 the
     # reference set is arange(n1) whatever the stream, so stable_mean counts
     # the mean block against itself on one whitened array. Only c1 = 3 at
-    # eps = 0.3, delta = 1e-6 and d >= 20 lets the c1 term set n1 above the
-    # reference size; a plan change that moves this set moves the samplers
-    # on or off that path.
+    # eps = 0.3, delta = 1e-6 and d = 20 or 100 lets the c1 term set n1
+    # above the reference size; a plan change that moves this set moves the
+    # samplers on or off that path.
     grid = itertools.product(
         (0.05, 0.2, 0.5),
         ((1.0, 0.05), (0.3, 1e-6), (0.9, 1e-3)),
