@@ -316,13 +316,15 @@ def t_density_log_ratio(t: np.ndarray, m: np.ndarray, u: np.ndarray, n2: int) ->
 
 
 def t_density_log_pdf(t: np.ndarray, m: np.ndarray, u: np.ndarray, n2: int) -> float:
-    """Log density of the linear image U^T Lambda' ... of a sphere projection.
+    """Log density at t of a linear image of a sphere projection.
 
-    The image of the d-dim projection density under the map with
-    ``M = (map map^T)^{-1}`` has log density
+    The projection density of ProjectedSphereDensity(n2, d) is pushed
+    through an invertible map L with ``L L^T = M^{-1}`` (M = m, positive
+    definite) and then through the rotation u^T, so a point t of the image
+    comes from the projection point L^{-1} u t. Its log density is
     ``0.5 ln det M + ((n2-d)/2 - 1) ln(1 - s^T M s) - ln C(n2, d)`` at
-    s = u t, sharing the projection normalizer C. Used by normalization
-    spot-checks.
+    s = u t, sharing the projection normalizer C, and -inf where
+    s^T M s >= 1. Used by normalization spot-checks.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
     d = t.shape[0]

@@ -90,9 +90,10 @@ def pair_and_rescale(x: np.ndarray) -> np.ndarray:
 
     Requires an even row count. Each y_i is mean-free with the source
     covariance, which is what lets the covariance half of the pipeline
-    ignore the unknown mean.
+    ignore the unknown mean. x is made C-contiguous first, so the pairs,
+    and the scatter products that read them, do not depend on its layout.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d dataset, got shape {x.shape}")
     n = x.shape[0]
@@ -236,10 +237,7 @@ def stable_cov(x: np.ndarray, cfg: EstimatorConfig) -> WeightedCovOutput:
     return WeightedCovOutput(w_matrix=w_matrix, weights=weights, counts=counts, score=score)
 
 
-# Relative slack of every neighbor-count certificate. It is far above the
-# gamma_{d+2} ~ (d+2) 2^-53 rounding bound of the expanded form
-# aa + bb - 2ab (and of the certificate's own arithmetic) for any d below
-# about 9000.
+# Relative slack of every neighbor-count certificate; see _certified_counts.
 _CERT_ETA = 1e-12
 # Absolute slack that covers underflow in the certificate's sums of squares.
 _CERT_FLOOR = 1e-280
@@ -253,26 +251,17 @@ def neighbor_counts(
     The counts equal, bit for bit, those of the dense n x |ref| matrix of
     expanded squared distances ``aa + bb - 2ab`` between the whitened rows
     a = x U / sqrt(w) and b = ref U / sqrt(w) (sigma = U diag(w) U^T), but
-    that matrix is formed only when a certificate cannot decide a pair.
-
-    The certificates work around a center c (a coordinate-wise median of
-    b) and bound each true squared distance T by the triangle inequality or
-    by a centered expansion. The dense value D differs from T by at most
-    gamma_{d+2} (|a_i| + |b_j|)^2, so a certificate whose bound clears lam
-    by eta ((|a_i| + |b_j|)^2 + lam), eta = 1e-12, puts the pair on the
-    same side of lam as D; see _certified_counts. The certificate declines
-    (and the dense matrix decides every pair) when data sits so far from
-    the origin that eta (max|a| + max|b|)^2 >= lam, where the dense
-    rounding error itself could reach lam, and when any pair lies within
-    that slack of lam.
+    that matrix is formed only when _certified_counts leaves a pair
+    undecided or declines.
 
     When ``ref is x`` (a block that is its own reference set) x is
     whitened once and that one array serves as both a and b. ``ref @ u``
-    on a separate array with the same values and layout runs the same BLAS
-    call on the same bytes, so for a C-contiguous x the counts are those of
-    ``neighbor_counts(x, x.copy(), ...)``. The dense products are still
-    taken against a separate operand: numpy routes ``a @ a.T`` to syrk,
-    whose rounding differs from the gemm of two arrays.
+    on a separate C-contiguous array with the same values runs the same
+    BLAS call on the same bytes, so for the C-contiguous blocks stable_mean
+    passes the counts are those of ``neighbor_counts(x, x.copy(), ...)``.
+    The dense products are still taken against a separate operand: numpy
+    routes ``a @ a.T`` to syrk, whose rounding differs from the gemm of two
+    arrays.
 
     sigma must be PSD (NotPD otherwise). A singular or zero sigma uses the
     pseudoinverse-limit convention of linalg.range_mask: differences
@@ -310,47 +299,43 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     """Neighbor counts of rows a over refs b decided without the dense
     matrix, or None when some pair is left undecided.
 
-    With r_i = |a_i - c| and s_j = |b_j - c|, the core refs are those with
-    s_j <= sqrt(lam)/2 and rho is their largest s_j. A row counts the whole
-    core when (r_i + rho)^2 (1 + eta) + slack_i <= lam, and none of it when
-    r_i > rho and (r_i - rho)^2 (1 - eta) - slack_i > lam, with
-    slack_i = eta ((|a_i| + max_core |b|)^2 + lam). Rows that neither test
-    decides go pair by pair through _certified_pairs. All tests are written
-    so that a NaN or an overflow to inf leaves the pair undecided.
+    Every test bounds the true squared distance T of a pair from the
+    offsets to a center c, a coordinate-wise median of b: r_i = |a_i - c|,
+    s_j = |b_j - c|, g = 2|c|. It decides the pair only when its bound
+    clears lam by slack(r_i, s_j) = eta ((g + r_i + s_j)^2 + lam) + floor
+    (a test over a block of pairs takes the block's largest r and s; the
+    slack grows with both). That puts the pair on the side of lam where the
+    dense value D lies, by one rounding argument with gamma = gamma_{d+4}
+    ~ (d+4) 2^-53. D is within gamma (|a_i| + |b_j|)^2 of T, and
+    |a_i| + |b_j| <= g + r_i + s_j up to rounding. c is a copy of entries
+    of b, so each centered row is within one rounding of its exact value,
+    and each bound below, computed from r, s and the centered rows, is
+    within 3 gamma (r_i + s_j)^2 of its exact value. Together the two
+    errors are at most 4 gamma (g + r_i + s_j)^2, and eta = 1e-12 is above
+    4 gamma for every d below 2000; the eta lam term covers the rounding of
+    the test's own sum, and the floor covers underflow. Each test is
+    written so that a NaN or an overflow to inf leaves its pairs undecided.
 
-    Each far ref (s_j > sqrt(lam)/2) is first tested against every row by
-    the triangle bound T >= (r_i - s_j)^2: the pair is outside when
-    (r_i - s_j)^2 - eta ((r_i + s_j)^2 + (|a_i| + |b_j|)^2 + lam) > lam.
-    c is a copy of entries of b, and the centered rows and their norms are
-    computed to a relative error of about gamma_{d+2}, so the computed gap
-    |r_i - s_j| is within gamma_{d+2} (r_i + s_j) of the true one and its
-    square within 3 gamma_{d+2} (r_i + s_j)^2 (the gap is at most
-    r_i + s_j). The (r_i + s_j)^2 term covers that, the (|a_i| + |b_j|)^2
-    term the dense rounding, and eta is far above both. Without the first
-    term a row and a far ref near the origin, both about 1e7 from a center
-    set by the other refs, would be decided on a squared gap whose rounding
-    error is some 50 times the rest of the slack. Only rows with a far ref
-    that this test leaves undecided go through _certified_pairs against
-    the far refs.
+    - Decline: when eta (g + max r + max s)^2 >= lam, data sit so far
+      from the origin that the dense rounding could reach lam; return None.
+    - Whole block: when every ref is core (s_j <= sqrt(lam)/2) and
+      (max r + max s)^2 + slack <= lam, every row counts every ref.
+    - Core refs, per row: with rho the largest core s_j, a row counts the
+      whole core when (r_i + rho)^2 + slack(r_i, rho) <= lam and none of it
+      when (r_i - rho)^2 - slack(r_i, rho) > lam. rho <= sqrt(lam)/2, so
+      the second can hold only when r_i > rho, where T >= (r_i - rho)^2.
+    - Far refs, per pair: outside when (r_i - s_j)^2 - slack > lam.
+    - The rest, per pair: t = r_i^2 + s_j^2 - 2 (a_i - c).(b_j - c) is
+      inside when t + slack <= lam and outside when t - slack > lam. It
+      takes the rows the core test leaves open against every core ref, and
+      the rows with a far ref the triangle test leaves open against every
+      far ref.
 
-    The whole block is decided first: when every ref is core and the inside
-    test holds at max r_i and max |a_i|, every row counts every ref. Each
-    term of the inside test is nondecreasing in r_i and in |a_i|, and
-    correctly rounded arithmetic keeps that order, so this implies the
-    per-row inside test for every row, and the counts are the per-row
-    certificate's. Its squares are products, as the per-row squares are:
-    a numpy scalar ``** 2`` calls pow, which can differ by an ulp.
-
-    When ``b is a`` (the block is its own reference set) the norms, the
-    centered rows and their norms are computed once and serve both sides;
-    they are the values the two-array computation gives, as each is a
-    row-wise function of identical inputs.
+    When ``b is a`` (the block is its own reference set) the centered rows
+    and their norms are computed once and serve both sides; they are the
+    values the two-array computation gives, as each is a row-wise function
+    of identical inputs.
     """
-    an = np.sqrt(np.einsum("ij,ij->i", a, a))
-    bn = an if b is a else np.sqrt(np.einsum("ij,ij->i", b, b))
-    amax, bmax = an.max(), bn.max()
-    if not _CERT_ETA * (amax + bmax) ** 2 < lam:
-        return None
     half = b.shape[0] // 2
     c = np.partition(b, half, axis=0)[half]
     ac = a - c
@@ -360,12 +345,18 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     else:
         bc = b - c
         s = np.sqrt(np.einsum("ij,ij->i", bc, bc))
-    core_radius = 0.5 * math.sqrt(lam)
-    smax = s.max()
-    reach, span = r.max() + smax, amax + bmax
-    if smax <= core_radius and reach * reach * (1.0 + _CERT_ETA) + (
-        _CERT_ETA * (span * span + lam) + _CERT_FLOOR
-    ) <= lam:
+    g = 2.0 * np.sqrt(c @ c)
+
+    def slack(r, s):
+        span = g + r + s
+        return _CERT_ETA * (span * span + lam) + _CERT_FLOOR
+
+    rmax, smax = r.max(), s.max()
+    span = g + rmax + smax
+    if not _CERT_ETA * span * span < lam:
+        return None
+    core_radius, reach = 0.5 * math.sqrt(lam), rmax + smax
+    if smax <= core_radius and reach * reach + slack(rmax, smax) <= lam:
         return np.full(a.shape[0], b.shape[0], dtype=np.int64)
     core = s <= core_radius
     far = ~core
@@ -373,59 +364,25 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     pending = np.ones(a.shape[0], dtype=bool)
     if core.any():
         rho = s[core].max()
-        slack = _CERT_ETA * ((an + bn[core].max()) ** 2 + lam) + _CERT_FLOOR
-        inside = (r + rho) ** 2 * (1.0 + _CERT_ETA) + slack <= lam
-        outside = (r > rho) & ((r - rho) ** 2 * (1.0 - _CERT_ETA) - slack > lam)
+        hi, lo, margin = r + rho, r - rho, slack(r, rho)
+        inside = hi * hi + margin <= lam
         counts[inside] = np.count_nonzero(core)
-        pending = ~(inside | outside)
+        pending = ~(inside | (lo * lo - margin > lam))
     near_far = np.zeros(a.shape[0], dtype=bool)
     if far.any():
-        sf = s[far]
-        gap = r[:, None] - sf
-        slack = (
-            _CERT_ETA * ((r[:, None] + sf) ** 2 + (an[:, None] + bn[far]) ** 2 + lam)
-            + _CERT_FLOOR
-        )
-        near_far = ~(gap * gap - slack > lam).all(axis=1)
+        gap = r[:, None] - s[far]
+        near_far = ~(gap * gap - slack(r[:, None], s[far]) > lam).all(axis=1)
     for rows, cols in ((pending, core), (near_far, far)):
         if not (rows.any() and cols.any()):
             continue
-        inside = _certified_pairs(
-            ac[rows], bc[cols], r[rows], s[cols], an[rows], bn[cols], lam
-        )
-        if inside is None:
+        ri, sj = r[rows, None], s[cols]
+        t = ri * ri + sj * sj - 2.0 * (ac[rows] @ bc[cols].T)
+        margin = slack(ri, sj)
+        inside = t + margin <= lam
+        if not (inside | (t - margin > lam)).all():
             return None
-        counts[rows] += inside
+        counts[rows] += np.count_nonzero(inside, axis=1)
     return counts
-
-
-def _certified_pairs(
-    ac: np.ndarray,
-    bc: np.ndarray,
-    r: np.ndarray,
-    s: np.ndarray,
-    an: np.ndarray,
-    bn: np.ndarray,
-    lam: float,
-) -> np.ndarray | None:
-    """Per row, the refs certified inside lam, or None if a pair is undecided.
-
-    t = r^2 + s^2 - 2 (a_i - c).(b_j - c) estimates the true squared
-    distance within gamma_{d+2} (r_i + s_j)^2 plus the rounding of the
-    centering, and the dense value is within gamma_{d+2} (|a_i| + |b_j|)^2
-    of it, so a margin of eta ((r_i + s_j)^2 + (|a_i| + |b_j|)^2 + lam)
-    decides the pair as the dense comparison does.
-    """
-    t = (r**2)[:, None] + (s**2)[None, :] - 2.0 * (ac @ bc.T)
-    slack = (
-        _CERT_ETA
-        * ((r[:, None] + s[None, :]) ** 2 + (an[:, None] + bn[None, :]) ** 2 + lam)
-        + _CERT_FLOOR
-    )
-    inside = t + slack <= lam
-    if not (inside | (t - slack > lam)).all():
-        return None
-    return np.count_nonzero(inside, axis=1)
 
 
 def _pairwise_sq_euclid(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -467,29 +424,24 @@ def stable_mean(
     neighbors), scoring and counting as stable_cov does; weights are
     counts / sum(counts), or all zero when no row is ever retained.
 
-    Neighbor counts come from neighbor_counts. They equal those of the
-    dense matrix of expanded squared distances aa + bb - 2ab between the
-    whitened rows, whose rounding error is at most gamma_{d+2} (|a| + |b|)^2
-    with gamma_{d+2} ~ (d+2) 2^-53; certificates with a relative slack of
-    1e-12 decide most pairs without forming that matrix. They decline, and
-    the dense matrix is formed, when sigma_hat is singular, when a pair's
-    distance lies within the slack of the radius, and when the data sit so
-    far from the origin in whitened units that the dense rounding error
-    itself could reach the radius: 1e-12 (max|a| + max|b|)^2 >= radius,
-    which for a block that is its own reference set is a whitened offset
-    of about 5e5 times the radius's square root. A sigma_hat that is not
-    PSD raises NotPD before any count.
+    Neighbor counts come from neighbor_counts, and equal those of the
+    dense matrix of expanded squared distances between the whitened rows.
+    Certificates decide most pairs without that matrix; it is formed when
+    sigma_hat is singular, when a pair's distance lies within rounding
+    slack of the radius, and when the data sit so far from the origin in
+    whitened units that the dense rounding error itself could reach the
+    radius (see _certified_counts): for a block that is its own reference
+    set, a whitened offset of about 5e5 times the radius's square root. A
+    sigma_hat that is not PSD raises NotPD before any count.
 
-    When r is arange(n), x itself is the reference, so neighbor_counts
-    whitens and centers it once. For a C-contiguous x that gives the counts
-    of the gathered copy x[r], which has the same bytes and layout. Any
-    other r, a permutation of arange(n) included, is gathered, since moving
-    a row can change the rounding of the whitening product. A block that is
-    not C-contiguous may whiten its reference rows differently from the
-    copy in the last bit, which can move a count only for a pair within
-    rounding of the radius, on the dense path.
+    x is made C-contiguous first, so the counts do not depend on its
+    memory layout. When r is arange(n), x itself is the reference, so
+    neighbor_counts whitens and centers it once; that gives the counts of
+    the gathered copy x[r], which has the same bytes and layout. Any other
+    r, a permutation of arange(n) included, is gathered, since moving a
+    row can change the rounding of the whitening product.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d dataset, got shape {x.shape}")
     n = x.shape[0]

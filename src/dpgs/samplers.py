@@ -147,7 +147,7 @@ def sample_unbounded(
     sphere in R^{n2}, which under clean data is one exact draw from the
     underlying Gaussian.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (plan.n, plan.d):
         raise ShapeMismatch(f"dataset shape {x.shape} does not match plan {(plan.n, plan.d)}")
     scale = math.sqrt((1.0 - 1.0 / plan.n1) * plan.n2)
@@ -178,7 +178,7 @@ def cov_aware_mean(
     ``mu_hat + c * sqrt(sigma_hat) g`` with g standard normal and
     c^2 = 720 e^2 lambda0 log(12/delta) / (eps n)^2.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise ShapeMismatch(f"expected at least 2 rows, got shape {x.shape}")
     n = x.shape[0]
@@ -218,7 +218,7 @@ def sample_known_cov(
     identity and on Pass the output is ``mu_hat + sqrt(1 - 1/n1) g`` with
     g standard normal, matching the unbounded sampler's variance inflation.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (plan.n1, plan.d):
         raise ShapeMismatch(f"dataset shape {x.shape} does not match plan {(plan.n1, plan.d)}")
     sizes = {"n1": plan.n1, "k": plan.k, "ref_size": plan.ref_size, "lambda0": plan.lambda0}

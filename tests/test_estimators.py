@@ -413,17 +413,19 @@ def dense_mahalanobis_sq(x, ref, sigma):
 
 def whole_block_radius(x, ref, sigma):
     """The radius at which the certificate's whole-block test starts to
-    hold (every ref core, and the inside test at the largest row offsets),
-    from the whitened rows; None when sigma is singular."""
+    hold (every ref core, and the inside test at the largest offsets r and
+    s from the center c, with the slack at 2|c|), from the whitened rows;
+    None when sigma is singular."""
     w, u = np.linalg.eigh(sigma)
     if not w[0] > SINGULAR_RTOL * w[-1] > 0.0:
         return None
     a = (x @ u) / np.sqrt(w)
     b = (ref @ u) / np.sqrt(w)
     c = np.partition(b, b.shape[0] // 2, axis=0)[b.shape[0] // 2]
-    r, s, an, bn = (np.sqrt(np.einsum("ij,ij->i", v, v)).max() for v in (a - c, b - c, a, b))
+    r, s = (np.sqrt(np.einsum("ij,ij->i", v, v)).max() for v in (a - c, b - c))
     eta = estimators._CERT_ETA
-    inside = (r + s) ** 2 * (1.0 + eta) + eta * (an + bn) ** 2 + estimators._CERT_FLOOR
+    span = 2.0 * np.linalg.norm(c) + r + s
+    inside = (r + s) ** 2 + eta * span**2 + estimators._CERT_FLOOR
     return float(max(4.0 * s**2, inside / (1.0 - eta)))
 
 
@@ -531,9 +533,10 @@ def test_far_refs_across_a_distant_center(d):
     # line, where the triangle bound (r_i - s_j)^2 equals the true distance.
     # The gap r_i - s_j carries a rounding error of about 1e-9, and its
     # square one of about 1e-7 against 2e-9 for eta ((|a_i| + |b_j|)^2 +
-    # lam): only the eta (r_i + s_j)^2 term keeps the row undecided at the
-    # exact dense value of its nearest ref. Each trial draws a new center,
-    # and so new rounding errors.
+    # lam): only a slack that grows with r_i + s_j, or with 2|c|, which
+    # is as large here, keeps the row undecided at the exact dense value
+    # of its nearest ref. Each trial draws a new center, and so new
+    # rounding errors.
     gen = np.random.default_rng(d)
     v = gen.standard_normal(d)
     v /= np.linalg.norm(v)
@@ -621,6 +624,30 @@ def test_certificate_skips_the_dense_matrix_on_clean_data(monkeypatch):
     got = neighbor_counts(far, far[r], sigma, lam)
     assert calls == [(428, 1)]
     assert np.array_equal(got, np.sum(dense_mahalanobis_sq(far, far[r], sigma) <= lam, axis=1))
+
+
+@pytest.mark.parametrize("d", [1, 3, 20])
+def test_certificate_declines_at_the_documented_offset(monkeypatch, d):
+    # A clean block that is its own reference set, at whitened offset t
+    # from the origin: the center c sits near t, so the certificate declines
+    # once eta (2|c| + max r + max s)^2 >= lam, at t of about
+    # 5e5 sqrt(lam) (eta = 1e-12). Below that the whole block is decided.
+    calls = []
+    dense = estimators._pairwise_sq_euclid
+    monkeypatch.setattr(
+        estimators, "_pairwise_sq_euclid", lambda a, b: calls.append(a.shape) or dense(a, b)
+    )
+    lam = math.e**2 * 30.0
+    gen = np.random.default_rng(d)
+    block = 0.1 * math.sqrt(lam / d) * gen.standard_normal((200, d))
+    direction = np.full(d, 1.0 / math.sqrt(d))
+    for rel, dense_path in ((0.8, False), (1.25, True)):
+        x = block + rel * 5e5 * math.sqrt(lam) * direction
+        calls.clear()
+        counts = neighbor_counts(x, x, np.eye(d), lam)
+        assert bool(calls) == dense_path, rel
+        if not dense_path:
+            assert np.all(counts == x.shape[0])
 
 
 def test_neighbor_counts_small_example():

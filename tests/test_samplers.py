@@ -89,6 +89,33 @@ def test_unbounded_deterministic_replay():
     assert t1.to_dict() == t2.to_dict()
 
 
+def test_release_does_not_depend_on_memory_layout():
+    # BLAS rounds a product by the layout of its operands, so each entry
+    # point makes its input C-contiguous before any product: the released
+    # bytes, both scores and the gate bit of Fortran-order input are those
+    # of the same values in C order.
+    sp = plan(0.2, PrivacyParams(1.0, 0.05), 20)
+    gen = np.random.default_rng(77)
+    q, _ = np.linalg.qr(gen.standard_normal((sp.d, sp.d)))
+    z = gen.standard_normal((sp.n, sp.d))
+    z[gen.choice(sp.n, 6, replace=False)] *= 1e6
+    x = 1e3 + (z * np.sqrt(np.logspace(0.0, 2.0, sp.d))) @ q.T
+    known = 1e3 + gen.standard_normal((sp.n1, sp.d))
+    known[:2] *= 1e3
+    for seed in range(2):
+        rng = RngStream(seed)
+        for run, data in (
+            (lambda v: sample_unbounded(v, sp, rng), x),
+            (lambda v: cov_aware_mean(v, sp.params, sp.lambda0, rng), x),
+            (lambda v: sample_known_cov(v, sp, rng), known),
+        ):
+            (want, want_trace), (got, got_trace) = run(data), run(np.asfortranarray(data))
+            assert not want.failed
+            assert want.value.tobytes() == got.value.tobytes()
+            for field in ("score_cov", "score_mean", "ptr"):
+                assert getattr(got_trace, field) == getattr(want_trace, field)
+
+
 def test_unbounded_clean_data_flags():
     gen = np.random.default_rng(101)
     x = gaussian_data(gen, PLAN.n, [3.0], [[math.sqrt(2.0)]])
