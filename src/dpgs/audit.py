@@ -607,7 +607,7 @@ def audit_density_lemmas(rng: RngStream, mode: str = "relaxed") -> AuditReport:
                     rho = min(rho, math.sqrt(quad_cap / q_gap))
                 for f in fracs:
                     t = (f * rho) * u
-                    val = t_density_log_ratio(t, m, eye, n2_b)
+                    val = t_density_log_ratio(t, m, n2_b)
                     worst_d = max(worst_d, val)
                     failures += 1 if val > budget + GRID_TOL else 0
                     count += 1

@@ -94,8 +94,8 @@ def pair_and_rescale(x: np.ndarray) -> np.ndarray:
     and the scatter products that read them, do not depend on its layout.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    if x.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-d dataset, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise DimensionMismatch(f"expected a 2-d dataset with columns, got shape {x.shape}")
     n = x.shape[0]
     if n % 2 != 0:
         raise OddRowCount(f"pairing needs an even row count, got {n}")
@@ -155,7 +155,7 @@ def largest_good_subset(y: np.ndarray, lam: float) -> np.ndarray:
     a subset of the result for a larger one.
     """
     y = np.asarray(y, dtype=float)
-    if y.ndim != 2 or y.shape[0] < 1:
+    if y.ndim != 2 or y.shape[0] < 1 or y.shape[1] < 1:
         raise DimensionMismatch(f"expected a nonempty 2-d array, got shape {y.shape}")
     if not lam > 0.0:
         raise PreconditionViolated(f"lam must be positive, got {lam}")
@@ -316,8 +316,9 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     the test's own sum, and the floor covers underflow. Each test is
     written so that a NaN or an overflow to inf leaves its pairs undecided.
 
-    - Decline: when eta (g + max r + max s)^2 >= lam, data sit so far
-      from the origin that the dense rounding could reach lam; return None.
+    - Decline: when d >= 2000, where eta no longer covers 4 gamma, or
+      when eta (g + max r + max s)^2 >= lam, where data sit so far from
+      the origin that the dense rounding could reach lam; return None.
     - Whole block: when every ref is core (s_j <= sqrt(lam)/2) and
       (max r + max s)^2 + slack <= lam, every row counts every ref.
     - Core refs, per row: with rho the largest core s_j, a row counts the
@@ -353,7 +354,7 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
 
     rmax, smax = r.max(), s.max()
     span = g + rmax + smax
-    if not _CERT_ETA * span * span < lam:
+    if a.shape[1] >= 2000 or not _CERT_ETA * span * span < lam:
         return None
     core_radius, reach = 0.5 * math.sqrt(lam), rmax + smax
     if smax <= core_radius and reach * reach + slack(rmax, smax) <= lam:

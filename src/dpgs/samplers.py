@@ -179,8 +179,8 @@ def cov_aware_mean(
     c^2 = 720 e^2 lambda0 log(12/delta) / (eps n)^2.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ShapeMismatch(f"expected at least 2 rows, got shape {x.shape}")
+    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
+        raise ShapeMismatch(f"expected at least 2 rows and 1 column, got shape {x.shape}")
     n = x.shape[0]
     k = ladder_granularity(params)
     m_ref = reference_size(n, k, params.delta)

@@ -1,4 +1,5 @@
-"""What a fresh interpreter loads: the release path and the CLI load no scipy.
+"""What a fresh interpreter loads: the release path, the CLI and
+``dpgs.divergences`` load no scipy.
 
 Only the audit harness needs scipy, and ``import dpgs`` defers it until one
 of the audit's names is looked up. Each test runs a new interpreter, since
@@ -44,6 +45,15 @@ import dpgs
 sp = dpgs.plan(0.2, dpgs.PrivacyParams(1.0, 0.05), 1)
 x = np.random.default_rng(0).normal(size=(sp.n, 1))
 dpgs.sample_unbounded(x, sp, dpgs.RngStream(1, 0))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    assert json.loads(_python("-c", script).stdout) == []
+
+
+def test_divergences_load_no_scipy():
+    script = """
+import json, sys
+import dpgs.divergences
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
     assert json.loads(_python("-c", script).stdout) == []

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, optimize, stats
 
 from dpgs.divergences import (
     Density1D,
@@ -22,6 +22,7 @@ from dpgs.exceptions import (
     DimensionMismatch,
     OutOfSupport,
     PreconditionViolated,
+    QuadratureFailure,
     SupportMismatch,
 )
 from dpgs.randomness import RngStream
@@ -108,6 +109,101 @@ def test_hs_affine_reparam_invariance():
     assert direct == pytest.approx(gauss_hs_analytic(2.0, eps), abs=1e-8)
 
 
+def _quad(f, a, b):
+    return integrate.quad(
+        lambda v: float(f(np.array([v]))[0]), a, b, epsabs=1e-14, epsrel=1e-12, limit=500
+    )[0]
+
+
+def quad_reference_hs(p, q, eps):
+    """Both hockey-stick forms by scipy quad: crossings from a 200,001-point
+    scan refined by brentq (the jumps at support ends are no crossings),
+    100 extra breakpoints, and the tails to +-inf."""
+    ratio = math.exp(eps)
+
+    def h(x):
+        return p.pdf(x) - ratio * q.pdf(x)
+
+    lo, hi = min(p.window()[0], q.window()[0]), max(p.window()[1], q.window()[1])
+    xs = np.linspace(lo, hi, 200_001)
+    sign = np.sign(h(xs))
+    ends = [e for dens in (p, q) for e in dens.support if lo < e < hi]
+    roots = [
+        optimize.brentq(lambda v: float(h(np.array([v]))[0]), xs[j], xs[j + 1], xtol=1e-15)
+        for j in np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        if not any(xs[j] <= e <= xs[j + 1] for e in ends)
+    ]
+    pts = sorted({lo, hi, *ends, *roots, *np.linspace(lo, hi, 101)})
+    vals = [_quad(h, a, b) for a, b in zip(pts[:-1], pts[1:])]
+    if math.isinf(p.support[0]) or math.isinf(q.support[0]):
+        vals.append(_quad(h, -np.inf, lo))
+    if math.isinf(p.support[1]) or math.isinf(q.support[1]):
+        vals.append(_quad(h, hi, np.inf))
+    vals = np.array(vals)
+    return vals[vals > 0].sum(), 0.5 * np.abs(vals).sum() - 0.5 * (ratio - 1.0)
+
+
+def scaled_sphere_projection(n, shift, scale):
+    """The law of shift + scale * z1, z1 the first coordinate of a uniform
+    point on S^{n-1}."""
+    base = ProjectedSphereDensity(n, 1)
+    return Density1D(
+        lambda x: base.log_pdf((np.asarray(x) - shift) / scale) - math.log(scale),
+        (shift - scale, shift + scale),
+    )
+
+
+REFERENCE_PANEL = {
+    "narrow-vs-wide-gauss": (gaussian_1d(0.0, 0.01), gaussian_1d(0.0, 5.0)),
+    "wide-vs-narrow-gauss": (gaussian_1d(0.3, 5.0), gaussian_1d(0.0, 0.01)),
+    "gauss-vs-uniform": (gaussian_1d(0.0, 1.0), uniform_1d(-2.0, 2.0)),
+    # n = 4 has a square-root edge at both ends of the support
+    **{
+        f"sphere-{n}": (
+            scaled_sphere_projection(n, 0.0, 1.0),
+            scaled_sphere_projection(n, 0.5 / math.sqrt(n), 1.1),
+        )
+        for n in (4, 20, 319, 12_760)
+    },
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_PANEL)
+def test_integrator_matches_scipy_quad_reference(name):
+    p, q = REFERENCE_PANEL[name]
+    for eps in (0.0, 0.5):
+        want_max, want_abs = quad_reference_hs(p, q, eps)
+        assert hockey_stick_1d(p, q, eps, form="max") == pytest.approx(want_max, abs=1e-10)
+        assert hockey_stick_1d(p, q, eps, form="abs") == pytest.approx(want_abs, abs=1e-10)
+    for dens in (p, q):
+        lo, hi = dens.support
+        mid = 0.0 if math.isinf(lo) else 0.5 * (lo + hi)
+        want = _quad(dens.pdf, lo, mid) + _quad(dens.pdf, mid, hi)
+        assert dens.mass() == pytest.approx(want, abs=1e-10)
+
+
+def test_narrow_density_between_scan_points_is_resolved():
+    # the narrow bulk lies between two points of a scan over the wide one
+    p, q = gaussian_1d(0.3, 5.0), gaussian_1d(0.01, 0.001)
+    want_max, want_abs = quad_reference_hs(p, q, 0.0)
+    assert hockey_stick_1d(p, q, 0.0, form="max") == pytest.approx(want_max, abs=1e-10)
+    assert hockey_stick_1d(p, q, 0.0, form="abs") == pytest.approx(want_abs, abs=1e-10)
+
+
+def test_unresolvable_spike_raises_quadrature_failure():
+    # (1 - a)/2 |x|^-a on [-1, 1] has mass 1, but at a = 0.99 its mass near 0
+    # shrinks too slowly under halving for any panel to converge
+    a = 0.99
+    spike = Density1D(lambda x: math.log((1.0 - a) / 2.0) - a * np.log(np.abs(x)), (-1.0, 1.0))
+    with np.errstate(divide="ignore"):  # the scan grid holds x = 0
+        with pytest.raises(QuadratureFailure):
+            spike.mass()
+        with pytest.raises(QuadratureFailure):
+            hockey_stick_1d(spike, uniform_1d(-1.0, 1.0), 0.0)
+        with pytest.raises(QuadratureFailure):
+            hockey_stick_1d(uniform_1d(-1.0, 1.0), spike, 0.3, form="max")
+
+
 def random_prob(rng, size):
     v = rng.dirichlet(np.ones(size))
     return v
@@ -173,14 +269,28 @@ def test_scaled_projection_consistency_with_densities():
 
 def test_t_density_reduces_to_scaled_projection():
     for t, mval, n2 in [(0.3, 0.7, 8), (-0.5, 1.4, 20), (0.1, 0.25, 6)]:
-        got = t_density_log_ratio(np.array([t]), np.array([[mval]]), np.eye(1), n2)
+        got = t_density_log_ratio(np.array([t]), np.array([[mval]]), n2)
         want = scaled_projection_log_ratio(t, 1.0 / math.sqrt(mval), n2)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_t_density_out_of_support():
     with pytest.raises(OutOfSupport):
-        t_density_log_ratio(np.array([0.8, 0.7]), np.eye(2), np.eye(2), 10)
+        t_density_log_ratio(np.array([0.8, 0.7]), np.eye(2), 10)
+
+
+def test_log_ratios_share_the_law_domain_n2_above_d():
+    # ProjectedSphereDensity(n2, d) needs n2 > d; each log ratio refuses
+    # n2 = d and accepts n2 = d + 1
+    t2 = np.array([0.3, -0.2])
+    for d, log_ratio in (
+        (1, lambda n2: scaled_projection_log_ratio(0.3, 1.1, n2)),
+        (2, lambda n2: t_density_log_ratio(t2, 1.2 * np.eye(2), n2)),
+        (2, lambda n2: shift_log_ratio(t2, np.array([0.05, 0.0]), n2)),
+    ):
+        assert math.isfinite(log_ratio(d + 1))
+        with pytest.raises(PreconditionViolated):
+            log_ratio(d)
 
 
 def test_t_density_pdf_normalizes():
@@ -205,7 +315,7 @@ def test_t_density_pdf_normalizes():
     assert est == pytest.approx(1.0, abs=0.02)
     # spot check the scalar helper against the vectorized formula
     p0 = np.array([0.2, -0.4])
-    assert t_density_log_pdf(p0, m, np.eye(2), n2) == pytest.approx(
+    assert t_density_log_pdf(p0, m, n2) == pytest.approx(
         0.5 * logdet + base.exponent() * math.log1p(-float(p0 @ m @ p0)) - base.log_norm
     )
 

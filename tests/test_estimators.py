@@ -18,6 +18,7 @@ from dpgs.estimators import (
     stable_mean,
 )
 from dpgs.exceptions import (
+    DimensionMismatch,
     EmptyReferenceSet,
     NotPD,
     OddRowCount,
@@ -61,6 +62,11 @@ def test_pair_and_rescale_odd_rows():
         pair_and_rescale(np.zeros((5, 2)))
 
 
+def test_stable_cov_rejects_zero_columns():
+    with pytest.raises(DimensionMismatch):
+        stable_cov(np.zeros((10, 0)), CFG)
+
+
 def test_pairing_preserves_covariance():
     rng = np.random.default_rng(21)
     cov = np.array([[2.0, 0.6], [0.6, 1.0]])
@@ -88,6 +94,11 @@ def test_largest_good_subset_all_zero_rows():
     # zero vectors never certify themselves: singular scatter removes all
     kept = largest_good_subset(np.zeros((3, 2)), 5.0)
     assert kept.size == 0
+
+
+def test_largest_good_subset_rejects_zero_columns():
+    with pytest.raises(DimensionMismatch):
+        largest_good_subset(np.zeros((10, 0)), 1.0)
 
 
 def test_largest_good_subset_gaussian_keeps_everything():
@@ -648,6 +659,20 @@ def test_certificate_declines_at_the_documented_offset(monkeypatch, d):
         assert bool(calls) == dense_path, rel
         if not dense_path:
             assert np.all(counts == x.shape[0])
+
+
+def test_certificate_declines_from_dimension_2000():
+    # eta = 1e-12 covers the rounding bound 4 gamma_{d+4} only for d < 2000;
+    # a clean self-referenced block is decided whole below that and declined
+    # from it on
+    lam = 1e5
+    gen = np.random.default_rng(2000)
+    for d, decided in ((1999, True), (2000, False)):
+        a = gen.standard_normal((4, d))
+        counts = estimators._certified_counts(a, a, lam)
+        assert (counts is not None) == decided, d
+        if decided:
+            assert counts.tolist() == [4, 4, 4, 4]
 
 
 def test_neighbor_counts_small_example():

@@ -42,6 +42,11 @@ class UntouchedStream(RngStream):
         raise AssertionError("the stream was drawn from")
 
 
+def test_cov_aware_mean_rejects_zero_columns_before_any_draw():
+    with pytest.raises(ShapeMismatch):
+        cov_aware_mean(np.zeros((2000, 0)), PrivacyParams(1.0, 0.05), 20.0, UntouchedStream(1))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_input_rejected_before_any_draw(bad):
     gen = np.random.default_rng(99)
