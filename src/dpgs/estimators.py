@@ -103,10 +103,24 @@ def pair_and_rescale(x: np.ndarray) -> np.ndarray:
     return (x[:m] - x[m:]) / math.sqrt(2.0)
 
 
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.linalg.eigh(a)`` of a symmetric matrix, in closed form at 1 x 1.
+
+    For N = 1 LAPACK's dsyevd, the routine behind numpy's eigh, returns
+    before any arithmetic: it sets W(1) = A(1,1) and Z = 1. The copied
+    diagonal and a unit eigenvector are those bytes, -0.0, subnormals and
+    NaN included, without the wrapper and dispatch cost. Larger matrices
+    still call eigh through this module's ``np``.
+    """
+    if a.shape[0] == 1:
+        return a.diagonal().copy(), np.ones((1, 1))
+    return np.linalg.eigh(a)
+
+
 def _scatter_norms(ys: np.ndarray, m: int) -> np.ndarray:
     """Each row's norm ``y_i^T a^{-1} y_i`` under ``a = ys^T ys / m``, all
     +inf when a is singular (so every row is pruned at any threshold)."""
-    w, u = np.linalg.eigh((ys.T @ ys) / m)  # normalizer m, the full row count
+    w, u = _eigh((ys.T @ ys) / m)  # normalizer m, the full row count
     if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
         return np.full(ys.shape[0], np.inf)
     coords = ys @ u  # divided in place: a pass holds two m x d arrays at most
@@ -263,8 +277,9 @@ def neighbor_counts(
     routes ``a @ a.T`` to syrk, whose rounding differs from the gemm of two
     arrays.
 
-    sigma must be PSD (NotPD otherwise). A singular or zero sigma uses the
-    pseudoinverse-limit convention of linalg.range_mask: differences
+    sigma must be PSD (NotPD otherwise); at d = 1 its decomposition is
+    _eigh's closed form, with eigh's bytes. A singular or zero sigma uses
+    the pseudoinverse-limit convention of linalg.range_mask: differences
     outside range(sigma) get +inf while differences inside it (in
     particular exact ties) use sigma^+, all from the dense matrices.
     """
@@ -272,17 +287,18 @@ def neighbor_counts(
     d = sigma.shape[0]
     if x.shape[1] != d or ref.shape[1] != d:
         raise DimensionMismatch("row dimension does not match sigma")
-    w, u = np.linalg.eigh(sigma)
+    w, u = _eigh(sigma)
     keep = range_mask(w)
     u_keep, root = u[:, keep], np.sqrt(w[keep])
     xk = (x @ u_keep) / root
     rk = xk if ref is x else (ref @ u_keep) / root
-    if np.all(keep):
+    full_range = keep.all()
+    if full_range:
         counts = _certified_counts(xk, rk, lam)
         if counts is not None:
             return counts
     dist = _pairwise_sq_euclid(xk, rk)
-    if not np.all(keep):
+    if not full_range:
         raw = _pairwise_sq_euclid(x, ref)
         # with no range every direction is null: the null mass is the raw
         # distance itself, and rotating it by u would only add rounding

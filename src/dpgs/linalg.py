@@ -118,8 +118,14 @@ def sym_sqrt(a: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root. Tiny negative eigenvalues clip to 0.
 
     Eigenpairs are summed largest first; the release bytes depend on it.
+    A 1 x 1 matrix takes the closed form: for N = 1 LAPACK's dsyevd returns
+    the entry itself with eigenvector 1 and no arithmetic, so the eigen
+    route reduces to the clipped entry's square root, with the same bytes.
     """
-    w, u = np.linalg.eigh(check_symmetric(a))
+    a = check_symmetric(a)
+    if a.shape[0] == 1:
+        return np.sqrt(np.clip(a, 0.0, None))
+    w, u = np.linalg.eigh(a)
     order = np.argsort(w)[::-1]
     w, u = np.clip(w[order], 0.0, None), u[:, order]
     return (u * np.sqrt(w)) @ u.T

@@ -126,8 +126,8 @@ def _run(
         score_cov=None if cov_out is None else cov_out.score,
         score_mean=mean_out.score,
         ptr=outcome,
-        cov_uniform=None if cov_out is None else bool(np.all(cov_out.counts == cfg.k)),
-        mean_uniform=bool(np.all(mean_out.counts == cfg.k)),
+        cov_uniform=None if cov_out is None else bool((cov_out.counts == cfg.k).all()),
+        mean_uniform=bool((mean_out.counts == cfg.k).all()),
         reference_set=ref,
         sizes=sizes,
     )

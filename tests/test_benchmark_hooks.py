@@ -37,35 +37,50 @@ def test_registry_matches_the_benchmark_checks():
     assert set(audit.REGISTRY) == set(measure.AUDIT_CHECKS)
 
 
-def test_estimators_eigh_count_sees_the_ladder_and_the_neighbor_kernel():
-    # A clean d=1 release prunes nothing: one eigh for the whole ladder and
-    # one in neighbor_counts; the known-covariance release has no ladder.
-    sp = plan(0.2, PrivacyParams(1.0, 0.05), 1)
+def _eigh_counts(d):
+    """estimators' eigh counts on four releases at dimension d: a clean
+    sample_unbounded and sample_known_cov, then the same two with one far
+    covariance row and one far mean row planted."""
+    sp = plan(0.2, PrivacyParams(1.0, 0.05), d)
     gen = np.random.default_rng(2024)
-    x = 3.0 + gen.standard_normal((sp.n, 1))
+    x = 3.0 + gen.standard_normal((sp.n, d))
+    far = x.copy()
+    far[sp.n1, 0] = 1e6
+    far_mean = x.copy()
+    far_mean[0, 0] = 1e6
+    runs = (
+        lambda: sample_unbounded(x, sp, RngStream(1, 1)),
+        lambda: sample_known_cov(x[: sp.n1], sp, RngStream(1, 1)),
+        lambda: sample_unbounded(far, sp, RngStream(1, 1)),
+        lambda: sample_known_cov(far_mean[: sp.n1], sp, RngStream(1, 1)),
+    )
     tracer = Tracer()
+    counts = []
     try:
         tracer.count_numpy_calls(estimators, "linalg", "eigh", "estimators.eigh")
-        sample_unbounded(x, sp, RngStream(1, 1))
-        assert tracer.counts() == {"estimators.eigh": 2}
-        tracer.reset()
-        sample_known_cov(x[: sp.n1], sp, RngStream(1, 1))
-        assert tracer.counts() == {"estimators.eigh": 1}
-        # Blocks the uniform shortcuts decline cost no extra pass: one far
-        # covariance row prunes once (three eigh), one far mean row
-        # leaves the known-covariance release at one.
-        far = x.copy()
-        far[sp.n1, 0] = 1e6
-        tracer.reset()
-        sample_unbounded(far, sp, RngStream(1, 1))
-        assert tracer.counts() == {"estimators.eigh": 3}
-        far[0, 0] = 1e6
-        tracer.reset()
-        sample_known_cov(far[: sp.n1], sp, RngStream(1, 1))
-        assert tracer.counts() == {"estimators.eigh": 1}
+        for run in runs:
+            tracer.reset()
+            run()
+            counts.append(tracer.counts().get("estimators.eigh", 0))
     finally:
         tracer.restore()
     assert estimators.np is np
+    return counts
+
+
+def test_estimators_eigh_count_sees_the_ladder_and_the_neighbor_kernel():
+    # A clean release prunes nothing: one eigh for the whole ladder and one
+    # in neighbor_counts; the known-covariance release has no ladder.
+    # Blocks the uniform shortcuts decline cost no extra pass: one far
+    # covariance row prunes once (three eigh), one far mean row leaves the
+    # known-covariance release at one. d = 2, since a 1 x 1 matrix takes
+    # the closed form and calls no eigh.
+    assert _eigh_counts(2) == [2, 1, 3, 1]
+
+
+def test_estimators_eigh_count_is_zero_at_d1():
+    # every 1 x 1 decomposition takes the closed form
+    assert _eigh_counts(1) == [0, 0, 0, 0]
 
 
 def test_every_workload_audit_batch_passes():

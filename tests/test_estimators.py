@@ -779,3 +779,10 @@ def test_stable_mean_weights_sum():
     x = rng.standard_normal((40, 3))
     out = stable_mean(x, np.eye(3), EstimatorConfig(lambda0=30.0, k=5), np.arange(40))
     assert out.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-200, -1e300])
+def test_negative_one_by_one_sigma_raises_not_pd(bad):
+    x = np.arange(6.0).reshape(-1, 1)
+    with pytest.raises(NotPD):
+        neighbor_counts(x, x, np.array([[bad]]), 4.0)

@@ -17,7 +17,8 @@ both estimators and the pipelines, at small trial counts. A second audit
 case hashes every registry check on its own, in both modes. The plan case
 hashes the sorted-key JSON of relaxed_plan(d) for d = 1..299 and of plan
 over a grid of (alpha, epsilon, delta, d, c1, c2), so every size and
-constant of both plan flavors is pinned.
+constant of both plan flavors is pinned. On the same grid's budgets, an
+xfail detector checks the gate's leakage against its delta share.
 A change that moves any of these bytes must say which bytes and why, and
 only then update a digest.
 """
@@ -30,9 +31,15 @@ import numpy as np
 import pytest
 
 from dpgs.audit import relaxed_plan, reports_to_json_lines, run_checks
-from dpgs.privacy import PrivacyParams, plan
+from dpgs.privacy import PrivacyParams, gate_leakage, plan
 from dpgs.randomness import RngStream
-from dpgs.samplers import cov_aware_mean, sample_known_cov, sample_unbounded
+from dpgs.samplers import (
+    GATE_DELTA_FRAC,
+    GATE_EPS_FRAC,
+    cov_aware_mean,
+    sample_known_cov,
+    sample_unbounded,
+)
 
 PARAMS = PrivacyParams(1.0, 0.05)
 STREAM_SEEDS = range(4)
@@ -268,3 +275,12 @@ def test_plans_match_golden():
         ),
     }
     assert digests == PLAN_GOLDEN
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: the gate overspends its delta share")
+@pytest.mark.parametrize("eps, delta", sorted({params for _, params, _, _ in PLAN_GRID}))
+def test_gate_leakage_stays_within_its_delta_share(eps, delta):
+    # The gate runs at (eps/3, delta/6); its exact per-bit leakage must fit
+    # in that delta/6. It does not on any of the grid's budgets.
+    gate = PrivacyParams(eps, delta).split(GATE_EPS_FRAC, GATE_DELTA_FRAC)
+    assert gate_leakage(gate) <= delta * GATE_DELTA_FRAC

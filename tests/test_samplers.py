@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from dpgs import estimators, samplers
 from dpgs.estimators import EstimatorConfig, stable_cov, stable_mean
 from dpgs.exceptions import (
     InvalidParams,
@@ -305,3 +306,73 @@ def test_cov_aware_mean_reference_floor():
     x = np.zeros((80, 1))
     with pytest.raises(SubsetTooLarge):
         cov_aware_mean(x, PrivacyParams(1.0, 0.05), 10.0, RngStream(0))
+
+
+def _eigh_route_sym_sqrt(a):
+    # linalg.sym_sqrt's eigen route, the reference for its 1 x 1 closed form
+    w, u = np.linalg.eigh(a)
+    order = np.argsort(w)[::-1]
+    w, u = np.clip(w[order], 0.0, None), u[:, order]
+    return (u * np.sqrt(w)) @ u.T
+
+
+def test_one_by_one_closed_forms_match_lapack_bitwise():
+    # about 20k log-uniform magnitudes over 1e-300..1e300, both signs, and
+    # the edges: signed zeros, the smallest subnormal, near the largest
+    gen = np.random.default_rng(1717)
+    mags = 10.0 ** gen.uniform(-300.0, 300.0, 10_000)
+    values = np.r_[mags, -mags, 0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]
+    for v in values:
+        a = np.array([[v]])
+        w, u = estimators._eigh(a)
+        want_w, want_u = np.linalg.eigh(a)
+        for got, want in ((w, want_w), (u, want_u)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), v
+        got, want = sym_sqrt(a), _eigh_route_sym_sqrt(a)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), v
+    assert np.signbit(estimators._eigh(np.array([[-0.0]]))[0][0])
+
+
+def _d1_case(kind, gen):
+    x = 3.0 + gen.standard_normal((PLAN.n, 1))
+    if kind == "constant_cov":  # zero-variance covariance block: singular scatter
+        x[PLAN.n1 :] = 2.5
+    elif kind == "far_cov_row":  # the ladder runs
+        x[PLAN.n1 + 7, 0] = 1e6
+    elif kind in ("scaled_up", "scaled_down"):
+        x *= 1e150 if kind == "scaled_up" else 1e-150
+    elif kind == "negative_zero_mean":
+        x[: PLAN.n1 : 3] = -0.0
+    return x
+
+
+def _d1_releases(x):
+    out = []
+    for seed in range(4):
+        runs = (
+            sample_unbounded(x, PLAN, RngStream(seed, 1)),
+            cov_aware_mean(x, PLAN.params, PLAN.lambda0, RngStream(seed, 2)),
+            sample_known_cov(x[: PLAN.n1], PLAN, RngStream(seed, 3)),
+        )
+        for res, trace in runs:
+            value = None if res.value is None else res.value.tobytes()
+            out.append((value, trace.score_cov, trace.score_mean, trace.ptr,
+                        trace.cov_uniform, trace.mean_uniform))
+    return out
+
+
+@pytest.mark.parametrize(
+    "kind", ["clean", "constant_cov", "far_cov_row", "scaled_up", "scaled_down",
+             "negative_zero_mean"]
+)
+def test_d1_releases_match_the_lapack_route(monkeypatch, kind):
+    # The 1 x 1 closed forms of estimators._eigh and linalg.sym_sqrt give
+    # the released bytes, scores and gate bits of the eigh calls they skip.
+    x = _d1_case(kind, np.random.default_rng(606))
+    fast = _d1_releases(x)
+    calls = []
+    monkeypatch.setattr(estimators, "_eigh", lambda a: calls.append(a.shape) or np.linalg.eigh(a))
+    monkeypatch.setattr(samplers, "sym_sqrt", _eigh_route_sym_sqrt)
+    assert _d1_releases(x) == fast
+    assert calls and all(shape == (1, 1) for shape in calls)
