@@ -268,6 +268,14 @@ def neighbor_counts(
     that matrix is formed only when _certified_counts leaves a pair
     undecided or declines.
 
+    When sigma is exactly the identity (the known covariance of
+    sample_known_cov), a = x and b = ref, with no decomposition. eigh(I)
+    is exactly (ones, I): the identity is already tridiagonal with zero
+    off-diagonals, so LAPACK's reduction applies no reflector and its
+    tridiagonal solver splits it into 1 x 1 blocks. Whitening by it then
+    multiplies by 1, adds zeros and divides by 1, which is exact up to the
+    sign of a zero, and no count sees that sign.
+
     When ``ref is x`` (a block that is its own reference set) x is
     whitened once and that one array serves as both a and b. ``ref @ u``
     on a separate C-contiguous array with the same values runs the same
@@ -287,12 +295,15 @@ def neighbor_counts(
     d = sigma.shape[0]
     if x.shape[1] != d or ref.shape[1] != d:
         raise DimensionMismatch("row dimension does not match sigma")
-    w, u = _eigh(sigma)
-    keep = range_mask(w)
-    u_keep, root = u[:, keep], np.sqrt(w[keep])
-    xk = (x @ u_keep) / root
-    rk = xk if ref is x else (ref @ u_keep) / root
-    full_range = keep.all()
+    if _is_identity(sigma):
+        xk, rk, full_range = x, ref, True
+    else:
+        w, u = _eigh(sigma)
+        keep = range_mask(w)
+        full_range = keep.all()
+        u_keep, root = u[:, keep], np.sqrt(w[keep])
+        xk = (x @ u_keep) / root
+        rk = xk if ref is x else (ref @ u_keep) / root
     if full_range:
         counts = _certified_counts(xk, rk, lam)
         if counts is not None:
@@ -309,6 +320,12 @@ def neighbor_counts(
             null_mass = _pairwise_sq_euclid(x_null, x_null if ref is x else ref @ u_null)
         dist = np.where(outside_range(null_mass, raw), np.inf, dist)
     return np.sum(dist <= lam, axis=1)
+
+
+def _is_identity(a: np.ndarray) -> bool:
+    """Whether the square matrix a is exactly the identity (a zero off the
+    diagonal may be -0.0)."""
+    return bool((a.diagonal() == 1.0).all()) and np.count_nonzero(a) == a.shape[0]
 
 
 def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | None:
@@ -341,12 +358,10 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
       whole core when (r_i + rho)^2 + slack(r_i, rho) <= lam and none of it
       when (r_i - rho)^2 - slack(r_i, rho) > lam. rho <= sqrt(lam)/2, so
       the second can hold only when r_i > rho, where T >= (r_i - rho)^2.
-    - Far refs, per pair: outside when (r_i - s_j)^2 - slack > lam.
     - The rest, per pair: t = r_i^2 + s_j^2 - 2 (a_i - c).(b_j - c) is
       inside when t + slack <= lam and outside when t - slack > lam. It
       takes the rows the core test leaves open against every core ref, and
-      the rows with a far ref the triangle test leaves open against every
-      far ref.
+      every row against every far ref, in one product.
 
     When ``b is a`` (the block is its own reference set) the centered rows
     and their norms are computed once and serve both sides; they are the
@@ -354,7 +369,9 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     of identical inputs.
     """
     half = b.shape[0] // 2
-    c = np.partition(b, half, axis=0)[half]
+    bt = b.T.copy()  # one contiguous row per coordinate: the partition runs unstrided
+    bt.partition(half, axis=1)
+    c = bt[:, half]
     ac = a - c
     r = np.sqrt(np.einsum("ij,ij->i", ac, ac))
     if b is a:
@@ -376,23 +393,19 @@ def _certified_counts(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray | 
     if smax <= core_radius and reach * reach + slack(rmax, smax) <= lam:
         return np.full(a.shape[0], b.shape[0], dtype=np.int64)
     core = s <= core_radius
-    far = ~core
     counts = np.zeros(a.shape[0], dtype=np.int64)
-    pending = np.ones(a.shape[0], dtype=bool)
+    pending = slice(None)
     if core.any():
         rho = s[core].max()
         hi, lo, margin = r + rho, r - rho, slack(r, rho)
         inside = hi * hi + margin <= lam
         counts[inside] = np.count_nonzero(core)
         pending = ~(inside | (lo * lo - margin > lam))
-    near_far = np.zeros(a.shape[0], dtype=bool)
-    if far.any():
-        gap = r[:, None] - s[far]
-        near_far = ~(gap * gap - slack(r[:, None], s[far]) > lam).all(axis=1)
-    for rows, cols in ((pending, core), (near_far, far)):
-        if not (rows.any() and cols.any()):
+    for rows, cols in ((pending, core), (slice(None), ~core)):
+        ri = r[rows, None]
+        if not (ri.size and cols.any()):
             continue
-        ri, sj = r[rows, None], s[cols]
+        sj = s[cols]
         t = ri * ri + sj * sj - 2.0 * (ac[rows] @ bc[cols].T)
         margin = slack(ri, sj)
         inside = t + margin <= lam

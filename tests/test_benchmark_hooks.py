@@ -70,12 +70,13 @@ def _eigh_counts(d):
 
 def test_estimators_eigh_count_sees_the_ladder_and_the_neighbor_kernel():
     # A clean release prunes nothing: one eigh for the whole ladder and one
-    # in neighbor_counts; the known-covariance release has no ladder.
-    # Blocks the uniform shortcuts decline cost no extra pass: one far
-    # covariance row prunes once (three eigh), one far mean row leaves the
-    # known-covariance release at one. d = 2, since a 1 x 1 matrix takes
+    # in neighbor_counts. The known-covariance release has no ladder, and
+    # its identity covariance is not decomposed, so it calls none. Blocks
+    # the uniform shortcuts decline cost no extra pass: one far covariance
+    # row prunes once (three eigh), one far mean row leaves the
+    # known-covariance release at none. d = 2, since a 1 x 1 matrix takes
     # the closed form and calls no eigh.
-    assert _eigh_counts(2) == [2, 1, 3, 1]
+    assert _eigh_counts(2) == [2, 0, 3, 0]
 
 
 def test_estimators_eigh_count_is_zero_at_d1():

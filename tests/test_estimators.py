@@ -25,6 +25,7 @@ from dpgs.exceptions import (
     PreconditionViolated,
 )
 from dpgs.linalg import RANGE_RTOL, SINGULAR_RTOL
+from dpgs.privacy import PrivacyParams, plan
 
 CFG = EstimatorConfig(lambda0=4.0, k=5)
 
@@ -174,6 +175,19 @@ def test_stable_cov_outlier_raises_score():
     out = stable_cov(x, cfg)
     assert out.score >= 1
     assert out.weights[0] < 1.0 / 200  # the polluted pair is down-weighted
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the singular-scatter cliff")
+def test_one_far_row_moves_the_cov_score_by_at_most_two():
+    # One replaced row may move the score by at most 2, the sensitivity the
+    # gate's privacy rests on. A row at 1e8 makes the full set's scatter
+    # fail the relative singularity test, which empties every rung, so the
+    # score jumps from 0 to k = 7 (a row at 1e4 to 1e7 gives 1).
+    x = np.random.default_rng(1).standard_normal((400, 2))
+    cfg = EstimatorConfig(lambda0=60.0, k=7)
+    far = x.copy()
+    far[0] = [1e8, 0.0]
+    assert abs(stable_cov(far, cfg).score - stable_cov(x, cfg).score) <= 2
 
 
 def test_stable_cov_score_and_weight_ranges():
@@ -517,9 +531,9 @@ def test_neighbor_counts_match_dense_matrix(name, d):
 
 def _check_far_ref_at_the_radius(x, ref, sigma, lams):
     # A far ref (1 +- 1e-9) of the radius beyond the row farthest from the
-    # ref median, on the line through both: the triangle bound is nearly
-    # tight there, so it must decide the pair or pass it on, also at radii
-    # equal to the pair's exact dense value.
+    # ref median, on the line through both: the pair's distance is within
+    # rounding of the radius there, so the centered pair product must
+    # decide it or pass it on, also at radii equal to its exact dense value.
     w, u = np.linalg.eigh(sigma)
     a, b = (x @ u) / np.sqrt(w), (ref @ u) / np.sqrt(w)
     off = a - np.median(b, axis=0)
@@ -541,13 +555,13 @@ def _check_far_ref_at_the_radius(x, ref, sigma, lams):
 def test_far_refs_across_a_distant_center(d):
     # Most rows and refs sit 9e6 from the origin, so the center c does too;
     # one row and two refs near the origin are then far refs, all on one
-    # line, where the triangle bound (r_i - s_j)^2 equals the true distance.
-    # The gap r_i - s_j carries a rounding error of about 1e-9, and its
-    # square one of about 1e-7 against 2e-9 for eta ((|a_i| + |b_j|)^2 +
-    # lam): only a slack that grows with r_i + s_j, or with 2|c|, which
-    # is as large here, keeps the row undecided at the exact dense value
-    # of its nearest ref. Each trial draws a new center, and so new
-    # rounding errors.
+    # line. The centered pair product r_i^2 + s_j^2 - 2 (a_i - c).(b_j - c)
+    # of such a pair sums terms near 8e13 and carries a rounding error of
+    # a few hundredths, against 2e-9 for eta ((|a_i| + |b_j|)^2 + lam):
+    # only a slack that grows with r_i + s_j, or with 2|c|, which is as
+    # large here, keeps the row undecided at the exact dense value of its
+    # nearest ref. Each trial draws a new center, and so new rounding
+    # errors.
     gen = np.random.default_rng(d)
     v = gen.standard_normal(d)
     v /= np.linalg.norm(v)
@@ -569,7 +583,7 @@ def _self_reference_block(kind, d, gen):
     whether that path forms the dense matrix."""
     x = 2.0 * gen.standard_normal((150, d))
     sigma = np.cov(x.T).reshape(d, d)
-    if kind == "far_rows":  # the triangle bound decides the far refs
+    if kind == "far_rows":  # the centered pair product decides the far refs
         rows = gen.choice(x.shape[0], size=int(gen.integers(1, 4)), replace=False)
         x[rows] = 1e6 * gen.choice([-1.0, 1.0], size=(rows.size, d))
     elif kind == "offset_1e9":  # the certificate declines: the dense fallback
@@ -611,6 +625,117 @@ def test_self_reference_counts_match_a_copy(monkeypatch, kind, d):
         got = neighbor_counts(x, x, sigma, lam)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want), lam
+
+
+def test_eigh_of_the_identity_is_exact():
+    # neighbor_counts skips the decomposition of an exact identity sigma,
+    # on this premise: eigh returns eigenvalues ones and eigenvectors I for
+    # it, bit for bit, and the same values when its zeros are -0.0
+    for d in (*range(1, 65), 100, 500):
+        eye = np.eye(d)
+        w, u = np.linalg.eigh(eye)
+        assert w.tobytes() == np.ones(d).tobytes() and u.tobytes() == eye.tobytes(), d
+        eye[~np.eye(d, dtype=bool)] = -0.0
+        w, u = np.linalg.eigh(eye)
+        assert np.array_equal(w, np.ones(d)) and np.array_equal(u, np.eye(d)), d
+
+
+def _identity_route_block(kind, d, gen):
+    x = 2.0 * gen.standard_normal((150, d))
+    if kind == "negative_zero":
+        x[::3] = -0.0
+    elif kind == "subnormal":
+        x[::4] = 5e-324 * gen.integers(-4, 5, size=(38, d))
+    elif kind in ("scaled_1e150", "scaled_1e-150"):
+        x *= 1e150 if kind == "scaled_1e150" else 1e-150
+    elif kind == "far_rows":
+        rows = gen.choice(x.shape[0], size=int(gen.integers(1, 4)), replace=False)
+        x[rows] = 1e6 * gen.choice([-1.0, 1.0], size=(rows.size, d))
+    elif kind == "offset_1e12":
+        x += 1e12 * gen.choice([-1.0, 1.0], size=d)
+    return x
+
+
+def _near_identity(d):
+    """The identity, with +0.0 and with -0.0 off the diagonal, and PSD
+    matrices next to it, each with whether it is exactly the identity."""
+    eye = np.eye(d)
+    yield eye, True
+    negative_zeros = eye.copy()
+    negative_zeros[~np.eye(d, dtype=bool)] = -0.0
+    yield negative_zeros, True
+    for entry in (np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), 4.0, 0.0):
+        near = eye.copy()
+        near[-1, -1] = entry
+        yield near, False
+    if d > 1:
+        coupled = eye.copy()
+        coupled[0, 1] = coupled[1, 0] = 0.5
+        yield coupled, False
+
+
+@pytest.mark.parametrize(
+    "kind", ["clean", "negative_zero", "subnormal", "scaled_1e150", "scaled_1e-150",
+             "far_rows", "offset_1e12"]
+)
+@pytest.mark.parametrize("d", [1, 2, 20])
+def test_identity_route_matches_the_eigh_route(monkeypatch, kind, d):
+    # An exact identity sigma is neither decomposed nor used to whiten; its
+    # counts equal, bit for bit, those of the eigh route (forced here) and
+    # of the dense matrix, for a block that is its own reference set and
+    # for a gathered one, at radii equal to exact pair values. Matrices
+    # next to the identity take the eigh route.
+    gen = np.random.default_rng([d, *kind.encode()])
+    x = _identity_route_block(kind, d, gen)
+    gathered = x[np.sort(gen.choice(x.shape[0], size=100, replace=False))]
+    eigh, decompositions = estimators._eigh, []
+    monkeypatch.setattr(estimators, "_eigh", lambda a: decompositions.append(a.shape) or eigh(a))
+    for sigma, identity in _near_identity(d):
+        for ref in (x, gathered):
+            dist = dense_mahalanobis_sq(x, ref.copy(), sigma)
+            lams = [math.e**2 * 30.0]
+            pair_values = dist[np.isfinite(dist) & (dist > 0.0)]
+            if pair_values.size:  # none under the zero matrix at d = 1
+                picks = np.r_[gen.choice(pair_values, size=3), pair_values.max()]
+                lams += [*picks, *np.nextafter(picks, 0.0)]
+            for lam in lams:
+                decompositions.clear()
+                got = neighbor_counts(x, ref, sigma, lam)
+                assert bool(decompositions) != identity
+                assert np.array_equal(got, np.sum(dist <= lam, axis=1)), (sigma, lam)
+                if identity:
+                    with monkeypatch.context() as m:
+                        m.setattr(estimators, "_is_identity", lambda a: False)
+                        assert np.array_equal(neighbor_counts(x, ref, sigma, lam), got), lam
+
+
+def test_far_rows_at_d20_take_no_dense_matrix(monkeypatch):
+    # The known-covariance mean block of the d = 20 plan, offset from the
+    # origin by up to 1e6 per coordinate, with 1-3 rows moved 1e6 along
+    # random directions, is its own reference set under the identity. The
+    # centered pair product decides every far pair, so no dense matrix is
+    # formed, and the counts are the dense matrix's.
+    sp = plan(0.2, PrivacyParams(1.0, 0.05), 20)
+    lam = math.e**2 * sp.lambda0
+    calls = []
+    dense = estimators._pairwise_sq_euclid
+    monkeypatch.setattr(
+        estimators, "_pairwise_sq_euclid", lambda a, b: calls.append(a.shape) or dense(a, b)
+    )
+    gen = np.random.default_rng(20)
+    for _ in range(10):
+        mu = gen.choice([-1.0, 1.0], size=20) * 10.0 ** gen.uniform(0.0, 6.0, size=20)
+        x = mu + gen.standard_normal((sp.n1, 20))
+        rows = gen.choice(sp.n1, size=int(gen.integers(1, 4)), replace=False)
+        u = gen.standard_normal((rows.size, 20))
+        x[rows] += 1e6 * u / np.linalg.norm(u, axis=1, keepdims=True)
+        got = neighbor_counts(x, x, np.eye(20), lam)
+        assert calls == []
+        want = np.sum(dense_mahalanobis_sq(x, x.copy(), np.eye(20)) <= lam, axis=1)
+        assert np.array_equal(got, want)
+        # each far row counts itself only, every other row the rest
+        assert np.all(got[rows] == 1)
+        assert np.count_nonzero(got == sp.n1 - rows.size) == sp.n1 - rows.size
 
 
 def test_certificate_skips_the_dense_matrix_on_clean_data(monkeypatch):
