@@ -204,6 +204,16 @@ def fail_threshold(params: PrivacyParams) -> float:
     return 2.0 * math.log(1.0 / params.delta) / params.epsilon + 4.0
 
 
+def pass_probability(score, params: PrivacyParams) -> np.ndarray | float:
+    """Exact probability that the gate passes each score: the truncated
+    Laplace CDF at pass_threshold - score. It is exactly 1 at score 0 and
+    exactly 0 from fail_threshold (twice the pass threshold) on."""
+    t = pass_threshold(params)
+    x = np.clip(t - np.asarray(score, dtype=float), -t, t)
+    scale = 2.0 / params.epsilon
+    return 0.5 + 0.5 * np.sign(x) * np.expm1(-np.abs(x) / scale) / np.expm1(-t / scale)
+
+
 def gate_leakage(params: PrivacyParams) -> float:
     """Tight additive slack in the gate's per-bit privacy guarantee.
 

@@ -117,7 +117,7 @@ def test_criterion_05_utility_events():
 
 def test_criterion_06_end_to_end_tv():
     t0 = time.perf_counter()
-    rep = audit_end_to_end(strict_plan(1), 50_000, RngStream(SEED, 602), smoke_trials=600)
+    rep = audit_end_to_end(strict_plan(1), 50_000, RngStream(SEED, 602))
     elapsed = time.perf_counter() - t0
     tv0, s0 = rep.statistics["tv_s0"], rep.statistics["tv_sigma_s0"]
     tv1, s1 = rep.statistics["tv_s1"], rep.statistics["tv_sigma_s1"]

@@ -7,9 +7,11 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import dpgs.audit as audit_mod
 from dpgs.audit import (
+    AUDIT_PARAMS,
     END_TO_END_MIN_TRIALS,
     REGISTRY,
     TAIL_FACTS_MIN_DRAWS,
@@ -31,7 +33,7 @@ from dpgs.audit import (
 from dpgs.exceptions import PreconditionViolated
 from dpgs.privacy import E_SQ
 from dpgs.randomness import RngStream
-from dpgs.samplers import SampleResult
+from dpgs.samplers import SampleResult, sample_unbounded
 
 PLAN3 = relaxed_plan(3)
 STRICT1 = strict_plan(1)
@@ -321,20 +323,77 @@ class TestTailFacts:
             audit_tail_facts(trials, UntouchedStream(7, 11))
 
 
+def _smoke_pair(sp, seed):
+    # the adjacent pair audit_end_to_end builds on the registry's stream
+    gen = RngStream(seed, audit_mod._CHECKS["end_to_end"][0]).child(42).generator()
+    a = gen.standard_normal((sp.n, sp.d))
+    row = int(gen.integers(sp.n1, sp.n))
+    b = a.copy()
+    b[row] = audit_mod._make_replacement(gen, "far", a[row], 1.0)
+    return a, b
+
+
 class TestEndToEnd:
     def test_small_run_passes(self):
-        rep = audit_end_to_end(STRICT1, 150, RngStream(7, 12), smoke_trials=60)
+        rep = audit_end_to_end(STRICT1, 150, RngStream(7, 12))
         assert rep.verdict == "pass"
         assert rep.statistics["tv_s0"] <= 0.2 + 3.0 * rep.statistics["tv_sigma_s0"]
         assert rep.statistics["equivariance_max_err"] <= 1e-9
-        assert "smoke_hs_forward" in rep.statistics
+        assert 0.0 <= rep.statistics["smoke_hs_forward"] <= 1.0
+        assert 0.0 <= rep.statistics["smoke_hs_backward"] <= 1.0
+        assert "smoke_trials" not in rep.statistics
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP items 1 and 2: the default plan lets a far row into W"
+    )
+    def test_exact_smoke_divergence_stays_within_delta(self):
+        # The exact hockey-stick divergence of the smoke pair's output laws
+        # at the plan's epsilon must fit in delta. At strict_plan(1) the far
+        # covariance-block row enters W, the Pass part's radius grows about
+        # 1e4-fold, and both directions read about 0.9997.
+        rep = run_checks(["end_to_end"], mode="strict", trials=END_TO_END_MIN_TRIALS)[0]
+        assert rep.statistics["smoke_hs_forward"] <= AUDIT_PARAMS.delta
+        assert rep.statistics["smoke_hs_backward"] <= AUDIT_PARAMS.delta
+
+    def test_exact_law_matches_the_pipeline_on_the_smoke_pair(self):
+        # The smoke's law, from _release_law, against N coupled pipeline runs
+        # on each side: the Pass count, the support [mu - r, mu + r] and the
+        # law of ((z - mu) / r)^2, Beta(1/2, (n2 - 1)/2) for one coordinate of
+        # a uniform point on the sphere in R^n2. It ties the release scale the
+        # audit writes to the one sample_unbounded uses.
+        sp, n = STRICT1, 2000
+        pair = _smoke_pair(sp, 20_240_817)
+        laws = [audit_mod._release_law(x, sp) for x in pair]
+        assert laws[0][0] == 1.0  # the clean side scores 0
+        assert laws[1][0] == pytest.approx(0.99365, abs=1e-5)  # the far side scores 1
+        runs = [[sample_unbounded(x, sp, RngStream(5, i))[0].value for x in pair]
+                for i in range(n)]
+        beta = stats.beta(0.5, 0.5 * (sp.n2 - 1))
+        for side, (p, dens) in enumerate(laws):
+            z = np.array([run[side][0] for run in runs if run[side] is not None])
+            assert abs(z.size - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
+            lo, hi = dens.support
+            assert lo <= z.min() and z.max() <= hi
+            mu, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            ks = stats.kstest(((z - mu) / r) ** 2, beta.cdf).statistic
+            assert ks <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * z.size))
+
+    def test_ref_size_other_than_n1_rejected_before_any_run(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an estimator or pipeline ran")
+
+        for name in ("sample_unbounded", "stable_cov", "stable_mean"):
+            monkeypatch.setattr(audit_mod, name, never)
+        sp = dataclasses.replace(STRICT1, ref_size=STRICT1.n1 - 1)
+        with pytest.raises(PreconditionViolated, match="ref_size == n1"):
+            audit_end_to_end(sp, END_TO_END_MIN_TRIALS, RngStream(7, 16))
 
     def test_all_fail_input_reports_insufficient(self, monkeypatch):
         def always_fail(x, sp, rng):
             return SampleResult(None), None
 
         monkeypatch.setattr(audit_mod, "sample_unbounded", always_fail)
-        rep = audit_end_to_end(STRICT1, 60, RngStream(7, 13), smoke_trials=0)
+        rep = audit_end_to_end(STRICT1, 60, RngStream(7, 13))
         assert rep.verdict == "fail"
         assert rep.statistics["insufficient_outputs_s0"] == 1.0
 

@@ -200,7 +200,7 @@ def test_corpus_matches_golden(d, kind):
 
 
 AUDIT_TRIALS = {"score_sensitivity": 24, "mean_stability": 12, "end_to_end": 60}
-AUDIT_GOLDEN = "eb952189e169a8c3bc0f7bb767ed0170a8cfdc446c034dddae8169a8f3c68fdb"
+AUDIT_GOLDEN = "5911abda997e7083d3dfb619048f89c7a7dfdfeb32aa16d75f2fefb97ff0972a"
 
 
 def test_audit_reports_match_golden():
@@ -236,8 +236,8 @@ CHECK_GOLDEN = {
     ("matrix_bounds", "strict"): "8b3acaad7311cb102df1c924875a2402d6fd195563417d08439c900bfd7a6171",
     ("tail_facts", "relaxed"): "9827cd0108f523abfed707710c9445e4ee32aa57f362f5955136b3b5f15d619d",
     ("tail_facts", "strict"): "5b55ff122115a1f8bfb9528fe4172f5dc5834a6db6b56193fbff56b54b55b7aa",
-    ("end_to_end", "relaxed"): "72a1f4e2b2c8f1ebc2a1b031c5cf2b7763858ebbcfbbf2b1e3afcfbcb44f11fb",
-    ("end_to_end", "strict"): "9c0ba72016ce12f51ba3f8ee232ff024ed94c7d1c0afb454e6189c381d4cd652",
+    ("end_to_end", "relaxed"): "da22186083396c0b88259d8a0caa697d0920aed7f59d5041174e4dd4cb686def",
+    ("end_to_end", "strict"): "bdf2b2d25477fc97173d5930538c4f737c6da5ce709a812d1b26c12e200101de",
 }
 
 

@@ -15,6 +15,7 @@ from dpgs.privacy import (
     ladder_granularity,
     noise_multiplier_sq,
     outlier_threshold,
+    pass_probability,
     pass_threshold,
     plan,
     reference_size,
@@ -344,6 +345,47 @@ def test_ptr_pass_mask_matches_scalar_path():
         assert scalar == mask.tolist()
         assert mask[0] and not mask[-1]
         assert 0 < mask.sum() < scores.size
+
+
+@given(valid_params)
+@settings(max_examples=300, deadline=None)
+def test_pass_probability_is_exact_at_the_extremes(p):
+    assert pass_probability(0.0, p) == 1.0
+    t = fail_threshold(p)
+    assert pass_probability(t, p) == 0.0
+    assert (pass_probability(np.array([t, t + 1e-9, t + 5.0, 1e300]), p) == 0.0).all()
+
+
+def test_pass_probability_is_non_increasing_in_the_score():
+    for p in (PrivacyParams(1.0, 0.05), PrivacyParams(0.3, 0.03), PrivacyParams(1e-3, 1e-8)):
+        probs = pass_probability(np.linspace(0.0, fail_threshold(p) + 1.0, 100_001), p)
+        assert (np.diff(probs) <= 0.0).all()
+        assert probs[0] == 1.0 and probs[-1] == 0.0
+
+
+def test_pass_probability_matches_the_gate_rate():
+    p = PrivacyParams(1.0, 0.05)
+    gen = np.random.default_rng(4242)
+    trials = 200_000
+    t = pass_threshold(p)
+    for s in (t - 3.0, t, t + 1.0):
+        want = float(pass_probability(s, p))
+        rate = pass_mask(np.full(trials, s), p, gen).mean()
+        assert abs(rate - want) <= 4.0 * math.sqrt(want * (1.0 - want) / trials)
+
+
+@pytest.mark.parametrize("eps, delta", [(1.0, 0.05), (0.3, 0.03)])
+def test_pass_probability_gaps_peak_at_the_gate_leakage(eps, delta):
+    # Adjacent scores differ by at most 2. The largest pass-side and
+    # fail-side gaps over a fine score grid are the exact leakage, which
+    # both sides attain on a whole band of scores.
+    p = PrivacyParams(eps, delta)
+    s = np.linspace(0.0, fail_threshold(p), 200_001)
+    assert s[1] - s[0] <= 1e-3
+    lo, hi = pass_probability(s, p), pass_probability(s + 2.0, p)
+    e = math.exp(eps)
+    assert (lo - e * hi).max() == pytest.approx(gate_leakage(p), rel=1e-9)
+    assert ((1.0 - hi) - e * (1.0 - lo)).max() == pytest.approx(gate_leakage(p), rel=1e-9)
 
 
 @pytest.mark.parametrize("score", [-1.0, np.nan, np.inf])

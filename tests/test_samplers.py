@@ -376,3 +376,22 @@ def test_d1_releases_match_the_lapack_route(monkeypatch, kind):
     monkeypatch.setattr(samplers, "sym_sqrt", _eigh_route_sym_sqrt)
     assert _d1_releases(x) == fast
     assert calls and all(shape == (1, 1) for shape in calls)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: the mean block far from the origin")
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("shift", [3e9, 1e12])
+@pytest.mark.parametrize("pipeline", ["unbounded", "known_cov"])
+def test_mean_block_far_from_the_origin_keeps_its_score(d, shift, pipeline):
+    # Shifting every row by one constant moves no Mahalanobis distance, so
+    # the mean score must not move. Clean data scores 0 unshifted; shifted
+    # by 3e9 or 1e12 the uncentered whitening loses the distances and the
+    # score reads k = 33 on every case here.
+    sp = plan(0.2, PrivacyParams(1.0, 0.05), d)
+    x = np.random.default_rng(0).standard_normal((sp.n, d))
+    if pipeline == "known_cov":
+        run, x = sample_known_cov, x[: sp.n1]
+    else:
+        run = sample_unbounded
+    assert run(x, sp, RngStream(1, 1))[1].score_mean == 0
+    assert run(x + shift, sp, RngStream(1, 1))[1].score_mean == 0
