@@ -2,8 +2,9 @@
 
 The package provides replacement-stable covariance/mean estimators, a
 propose-test-release gate, private sampling pipelines built from them, and
-a numerical audit harness (imported, with scipy, on first use) that checks
-the stability, utility and privacy properties the design relies on.
+a numerical audit harness (imported on first use, numpy only like the rest)
+that checks the stability, utility and privacy properties the design relies
+on.
 """
 
 import importlib
@@ -83,7 +84,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    """Import ``dpgs.audit``, and scipy with it, on first use (PEP 562)."""
+    """Import ``dpgs.audit``, and ``dpgs.divergences`` with it, on first use
+    (PEP 562), so that a release-only process never loads them."""
     # every other name in __all__ is bound above, so one that reaches here is the audit's
     if name not in __all__ and name not in ("audit", "divergences"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -100,7 +100,9 @@ def pair_and_rescale(x: np.ndarray) -> np.ndarray:
     if n % 2 != 0:
         raise OddRowCount(f"pairing needs an even row count, got {n}")
     m = n // 2
-    return (x[:m] - x[m:]) / math.sqrt(2.0)
+    y = x[:m] - x[m:]
+    y /= math.sqrt(2.0)
+    return y
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

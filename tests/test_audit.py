@@ -323,6 +323,50 @@ class TestTailFacts:
             audit_tail_facts(trials, UntouchedStream(7, 11))
 
 
+class TestTailFactsHelpers:
+    """tail_facts' numpy KS helpers against scipy.stats."""
+
+    # not (1, 1): scipy's Beta(1/2, 1/2) CDF is off by up to 3e-9 next to 1,
+    # where 1 - (2 / pi) sqrt(1 - x) is the exact value
+    @pytest.mark.parametrize("i, j", [(1, 9), (1, 19), (3, 17), (5, 3), (7, 13), (11, 1)])
+    def test_beta_cdf_matches_scipy(self, i, j):
+        x = np.concatenate([
+            np.linspace(0.0, 1.0, 1000),
+            np.geomspace(1e-300, 1e-3, 60),
+            1.0 - np.geomspace(1e-16, 1e-3, 60),
+        ])
+        got = audit_mod._beta_cdf_odd_halves(x, i, j)
+        np.testing.assert_allclose(got, stats.beta.cdf(x, i / 2.0, j / 2.0), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ks_distance_matches_kstest(self, seed):
+        gen = np.random.default_rng(seed)
+        z = gen.standard_normal(5000) * 1.02
+        got = audit_mod._ks_distance(z, audit_mod._normal_cdf)
+        assert got == pytest.approx(stats.kstest(z, stats.norm.cdf).statistic, rel=0, abs=1e-15)
+        r = gen.beta(1.5, 8.5, 5000)
+        got = audit_mod._ks_distance(r, lambda v: audit_mod._beta_cdf_odd_halves(v, 3, 17))
+        want = stats.kstest(r, stats.beta(1.5, 8.5).cdf).statistic
+        assert got == pytest.approx(want, rel=0, abs=1e-15)
+
+    def test_normal_cdf_matches_ndtr(self):
+        from scipy.special import ndtr
+
+        x = np.concatenate([np.linspace(-38.0, 9.0, 4701), [0.0, -0.0, 1e-300, -1e-300]])
+        np.testing.assert_allclose(audit_mod._normal_cdf(x), ndtr(x), rtol=1e-12, atol=1e-305)
+
+    @pytest.mark.parametrize("n", [10_000, 30_000, 100_000])
+    def test_ks_pvalue_within_half_a_percent_of_exact(self, n):
+        for p in np.geomspace(0.002, 0.9, 40):
+            d = float(stats.kstwo.isf(p, n))
+            assert audit_mod._ks_pvalue(d, n) == pytest.approx(stats.kstwo.sf(d, n), rel=5e-3)
+
+    def test_ks_pvalue_extremes(self):
+        assert audit_mod._ks_pvalue(0.0, 100) == 1.0
+        assert audit_mod._ks_pvalue(1e-6, 100) == 1.0
+        assert audit_mod._ks_pvalue(1.0, 100) < 1e-80
+
+
 def _smoke_pair(sp, seed):
     # the adjacent pair audit_end_to_end builds on the registry's stream
     gen = RngStream(seed, audit_mod._CHECKS["end_to_end"][0]).child(42).generator()

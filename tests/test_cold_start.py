@@ -1,9 +1,9 @@
-"""What a fresh interpreter loads: the release path, the CLI and
-``dpgs.divergences`` load no scipy.
+"""What a fresh interpreter loads: no part of dpgs, the audit harness and
+every CLI subcommand included, loads scipy.
 
-Only the audit harness needs scipy, and ``import dpgs`` defers it until one
-of the audit's names is looked up. Each test runs a new interpreter, since
-this suite has imported the audit long before it gets here.
+scipy is a test dependency only. ``import dpgs`` still defers the audit until
+one of its names is looked up. Each test runs a new interpreter, since this
+suite has imported scipy and the audit long before it gets here.
 """
 
 import json
@@ -59,6 +59,16 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
     assert json.loads(_python("-c", script).stdout) == []
 
 
+def test_audit_checks_load_no_scipy():
+    script = """
+import json, sys
+import dpgs.audit
+dpgs.audit.run_checks(("tail_facts", "matrix_bounds"))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+    assert json.loads(_python("-c", script).stdout) == []
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("cold") / "data.csv"
@@ -75,6 +85,7 @@ def dataset(tmp_path_factory):
         ["sample", *PLAN_ARGS, "--in", "data.csv", "--seed", "9"],
         ["mean", "--epsilon", "1", "--delta", "0.05", "--dim", "1", "--lambda0", "20",
          "--in", "data.csv", "--seed", "9"],
+        ["audit", "--check", "tail_facts"],
     ],
     ids=lambda argv: argv[0],
 )
