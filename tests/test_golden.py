@@ -234,8 +234,8 @@ CHECK_GOLDEN = {
     ("density_lemmas", "strict"): "446d95a0004f05a8399ded35802ff143cf652f84fefad23f64f0fc66857f783c",
     ("matrix_bounds", "relaxed"): "c6e05632ae4a727178dc1937c2fa08e5676025af08d2456032a9804a836b5ed0",
     ("matrix_bounds", "strict"): "8b3acaad7311cb102df1c924875a2402d6fd195563417d08439c900bfd7a6171",
-    ("tail_facts", "relaxed"): "9827cd0108f523abfed707710c9445e4ee32aa57f362f5955136b3b5f15d619d",
-    ("tail_facts", "strict"): "5b55ff122115a1f8bfb9528fe4172f5dc5834a6db6b56193fbff56b54b55b7aa",
+    ("tail_facts", "relaxed"): "5d8f36927c857060e5acb28c82f383c7fce2d607b38816d4025cf92206d3d7ee",
+    ("tail_facts", "strict"): "86d6de23590e3715f18bc2731f5c4f82493d8dac50683283c67717090c98b710",
     ("end_to_end", "relaxed"): "da22186083396c0b88259d8a0caa697d0920aed7f59d5041174e4dd4cb686def",
     ("end_to_end", "strict"): "bdf2b2d25477fc97173d5930538c4f737c6da5ce709a812d1b26c12e200101de",
 }
