@@ -2,9 +2,8 @@
 
 The package provides replacement-stable covariance/mean estimators, a
 propose-test-release gate, private sampling pipelines built from them, and
-a numerical audit harness (imported on first use, numpy only like the rest)
-that checks the stability, utility and privacy properties the design relies
-on.
+a numerical audit harness (imported on first use) that checks the
+stability, utility and privacy properties the design relies on.
 """
 
 import importlib
