@@ -45,13 +45,8 @@ from .divergences import (  # hs_discrete has no caller here; perfbench rebinds 
     tv_histogram,
     weak_triangle_check,
 )
-from .estimators import (
-    EstimatorConfig,
-    neighbor_counts,
-    pair_and_rescale,
-    stable_cov,
-    stable_mean,
-)
+# stable_mean has no caller here; perfbench rebinds it by name
+from .estimators import EstimatorConfig, neighbor_counts, pair_and_rescale, stable_cov, stable_mean
 from .exceptions import PreconditionViolated
 from .linalg import (
     inverse_tracenorm_gap,
@@ -71,7 +66,7 @@ from .privacy import (
     stability_floors,
 )
 from .randomness import RngStream, sphere_batch, subset_indices
-from .samplers import GATE_DELTA_FRAC, GATE_EPS_FRAC, sample_unbounded
+from .samplers import GATE_DELTA_FRAC, GATE_EPS_FRAC, Estimate, estimate, sample_unbounded
 
 FORMAT_VERSION = 1
 
@@ -240,26 +235,21 @@ def _adjacent_trial(
     return gen, x, b, kind
 
 
-def _estimate(x: np.ndarray, sp: SamplerPlan, ref: np.ndarray) -> tuple:
-    """Both estimator stages on the sampler's block split, shared reference:
-    (covariance output, its estimate, mean output)."""
-    cfg = EstimatorConfig(sp.lambda0, sp.k)
-    cov_out = stable_cov(x[sp.n1 :], cfg)
-    sigma_hat = cov_out.covariance()
-    return cov_out, sigma_hat, stable_mean(x[: sp.n1], sigma_hat, cfg, ref)
+def _estimate(x: np.ndarray, sp: SamplerPlan, ref: np.ndarray) -> Estimate:
+    """sample_unbounded's estimate of x at reference rows ref."""
+    return estimate(x[: sp.n1], x[sp.n1 :], EstimatorConfig(sp.lambda0, sp.k), ref)
 
 
 def _release_law(x: np.ndarray, sp: SamplerPlan) -> tuple[float, Density1D | None]:
     """sample_unbounded's exact output law on x at d = 1 and ref_size == n1:
     the Pass probability p and, when p > 0, the Pass part, p times the density
     of mu + r t on [mu - r, mu + r] with t ~ ProjectedSphereDensity(n2, 1)."""
-    cov_out, _, mean_out = _estimate(x, sp, np.arange(sp.n1))
-    score = max(cov_out.score, mean_out.score)
-    p = float(pass_probability(score, sp.params.split(GATE_EPS_FRAC, GATE_DELTA_FRAC)))
+    est = _estimate(x, sp, np.arange(sp.n1))
+    p = float(pass_probability(est.score, sp.params.split(GATE_EPS_FRAC, GATE_DELTA_FRAC)))
     if p == 0.0:  # no Pass part, and w_matrix may be zero
         return p, None
-    mu = float(mean_out.weights @ x[: sp.n1, 0])
-    r = math.sqrt((1.0 - 1.0 / sp.n1) * sp.n2) * float(np.linalg.norm(cov_out.w_matrix))
+    mu = float(est.mu_hat[0])
+    r = math.sqrt((1.0 - 1.0 / sp.n1) * sp.n2) * float(np.linalg.norm(est.cov.w_matrix))
     c, t = math.log(p / r), ProjectedSphereDensity(sp.n2, 1)
     return p, Density1D(lambda z: c + t.log_pdf((z - mu) / r), (mu - r, mu + r))
 
@@ -280,15 +270,11 @@ def audit_score_sensitivity(
     """
     plans = list(plans)
 
-    def score(x: np.ndarray, sp: SamplerPlan, ref: np.ndarray) -> int:
-        cov_out, _, mean_out = _estimate(x, sp, ref)
-        return max(cov_out.score, mean_out.score)
-
     def one(i: int) -> tuple[bool, bool, int]:
         sp = plans[i % len(plans)]
         gen, a, b, kind = _adjacent_trial(rng, i, (sp.n, sp.d), 0, sp.n)
         ref = subset_indices(gen, sp.n1, sp.ref_size)
-        diff = abs(score(a, sp, ref) - score(b, sp, ref))
+        diff = abs(_estimate(a, sp, ref).score - _estimate(b, sp, ref).score)
         return True, diff <= 2 and (kind != "identical" or diff == 0), diff
 
     _, failures, diffs = _fold(one, trials)
@@ -428,19 +414,15 @@ def audit_mean_stability(
         lo, hi = (0, sp.n1) if i % 2 == 0 else (sp.n1, sp.n)
         gen, a, b, _ = _adjacent_trial(rng, i, (sp.n, sp.d), lo, hi)
         ref = subset_indices(gen, sp.n1, sp.ref_size)
-        cov_a, s1, mean_a = _estimate(a, sp, ref)
-        cov_b, s2, mean_b = _estimate(b, sp, ref)
-        scores = (cov_a.score, cov_b.score, mean_a.score, mean_b.score)
-        if max(scores) >= sp.k:
+        est_a, est_b = _estimate(a, sp, ref), _estimate(b, sp, ref)
+        if max(est_a.score, est_b.score) >= sp.k:
             return False, True, 0.0
         if not (
-            _degree_representative(a[: sp.n1], s1, core_lam, ref)
-            and _degree_representative(b[: sp.n1], s2, core_lam, ref)
+            _degree_representative(a[: sp.n1], est_a.sigma_hat, core_lam, ref)
+            and _degree_representative(b[: sp.n1], est_b.sigma_hat, core_lam, ref)
         ):
             return False, True, 0.0
-        mu_a = mean_a.weights @ a[: sp.n1]
-        mu_b = mean_b.weights @ b[: sp.n1]
-        observed = mahalanobis_sq(mu_a - mu_b, s1)
+        observed = mahalanobis_sq(est_a.mu_hat - est_b.mu_hat, est_a.sigma_hat)
         ok = observed <= bound * (1.0 + 1e-9) if hypothesis_met else True
         return True, ok, observed / bound
 
@@ -508,23 +490,19 @@ def audit_utility_events(
         event = e1 and e2 and e3
 
         ref = subset_indices(gen, sp.n1, sp.ref_size)
-        cov_out, sigma_hat, mean_out = _estimate(x, sp, ref)
+        est = _estimate(x, sp, ref)
         uniform = bool(
-            cov_out.score == 0
-            and mean_out.score == 0
-            and np.all(cov_out.counts == sp.k)
-            and np.all(mean_out.counts == sp.k)
+            est.score == 0 and np.all(est.cov.counts == sp.k) and np.all(est.mean.counts == sp.k)
         )
         implication = True
         if event:
             implication = uniform
             if uniform:
                 sigma_bar = y.T @ y / sp.n2
-                cov_err = np.linalg.norm(sigma_hat - sigma_bar)
+                cov_err = np.linalg.norm(est.sigma_hat - sigma_bar)
                 implication = cov_err <= 1e-9 * max(1.0, np.linalg.norm(sigma_bar))
                 head_avg = x[: sp.n1].mean(axis=0)
-                mu_hat = mean_out.weights @ x[: sp.n1]
-                mean_err = np.linalg.norm(mu_hat - head_avg)
+                mean_err = np.linalg.norm(est.mu_hat - head_avg)
                 implication = implication and mean_err <= 1e-9 * max(
                     1.0, np.linalg.norm(head_avg)
                 )

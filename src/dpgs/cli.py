@@ -5,8 +5,9 @@ Subcommands:
 - ``plan``: resolve (alpha, epsilon, delta, d) to concrete pipeline sizes;
   prints machine JSON on stdout (or --out) and a small table on stderr.
 - ``gen``: write a seeded Gaussian dataset as CSV with header x1..xd.
-- ``sample``: run the full private sampler on a CSV dataset.
-- ``mean``: run the covariance-aware private mean on a CSV dataset.
+- ``sample``, ``mean``: run the private sampler, or the covariance-aware mean,
+  on a CSV dataset; print only the released record (outcome, value and plan
+  sizes). The unnoised scores in the run trace are not part of a release.
 - ``audit``: run named audit checks; JSON-line reports plus a CSV summary.
 
 Exit codes: 0 success (including a propose-test-release Fail outcome, which
@@ -172,7 +173,7 @@ def _result_doc(result, trace) -> dict:
         "format_version": FORMAT_VERSION,
         "outcome": "fail" if result.failed else "ok",
         "z": None if result.failed else [float(v) for v in result.value],
-        "trace": trace.to_dict(),
+        "sizes": dict(trace.sizes),
     }
 
 

@@ -1,11 +1,11 @@
 """Differentially private Gaussian sampling pipelines.
 
-Three entry points share one skeleton, ``_run``: estimate covariance and
-mean with the stability-scored estimators, gate the worst score through
-the noisy threshold test ``ptr_check`` at budget (eps/3, delta/6), and
-only on Pass release an output whose randomness rides on the estimated
-covariance factor. Each entry point only validates its input, splits it
-into blocks and supplies its release noise.
+Three entry points share one skeleton, ``_run``: estimate, gate, noise.
+``estimate`` runs the stability-scored estimators (the same chain the audit
+re-checks), the noisy threshold test ``ptr_check`` gates the worst score at
+budget (eps/3, delta/6), and only on Pass does the output get noise that
+rides on the estimated covariance factor. Each entry point only validates
+its input, splits it into blocks and supplies its release noise.
 
 Every pipeline consumes its RngStream through a single generator in a fixed
 order (reference subset, gate noise, then output randomness), so running
@@ -20,7 +20,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .estimators import EstimatorConfig, stable_cov, stable_mean
+from .estimators import (
+    EstimatorConfig, WeightedCovOutput, WeightVectorOutput, stable_cov, stable_mean,
+)
 from .exceptions import NonFiniteInput, PreconditionViolated, ShapeMismatch, SubsetTooLarge
 from .linalg import sym_sqrt
 from .privacy import (
@@ -95,45 +97,64 @@ def ptr_check(score: float, params: PrivacyParams, gen: np.random.Generator) -> 
     return PtrOutcome.PASS if score + eta < threshold else PtrOutcome.FAIL
 
 
-def _run(
-    mean_block: np.ndarray, cov_block: np.ndarray | None, cfg: EstimatorConfig,
-    params: PrivacyParams, ref_size: int, sizes: dict[str, Any],
-    noise: Callable[..., np.ndarray], rng: RngStream,
-) -> tuple[SampleResult, RunTrace]:
-    """The skeleton every pipeline runs once its input is validated.
+@dataclass(frozen=True)
+class Estimate:
+    """Both estimator outputs on one dataset and reference set, and the score
+    the gate tests. cov is None on the known-covariance path (sigma_hat = I)."""
 
-    Non-finite blocks are rejected before the stream is touched, so a
-    rejected call consumes no randomness. cov_block None means the identity
-    covariance. On Pass the output is mu_hat plus
-    ``noise(gen, cov_out, sigma_hat)``, drawn after the gate's noise.
-    """
-    for block in (mean_block, cov_block):
-        if block is not None and not np.isfinite(block).all():
-            raise NonFiniteInput("dataset holds a NaN or infinite entry")
-    gen = rng.generator()
-    ref = subset_indices(gen, mean_block.shape[0], ref_size)
+    cov: WeightedCovOutput | None
+    mean: WeightVectorOutput
+    sigma_hat: np.ndarray
+    mu_hat: np.ndarray
+
+    @property
+    def score(self) -> int:
+        return self.mean.score if self.cov is None else max(self.cov.score, self.mean.score)
+
+
+def estimate(
+    mean_block: np.ndarray, cov_block: np.ndarray | None, cfg: EstimatorConfig, ref: np.ndarray
+) -> Estimate:
+    """``stable_cov`` on cov_block (None: the identity covariance), then
+    ``stable_mean`` on mean_block in its metric at reference rows ref. Draws nothing."""
     if cov_block is None:
         cov_out, sigma_hat = None, np.eye(mean_block.shape[1])
     else:
         cov_out = stable_cov(cov_block, cfg)
         sigma_hat = cov_out.covariance()
     mean_out = stable_mean(mean_block, sigma_hat, cfg, ref)
-    mu_hat = mean_out.weights @ mean_block
+    return Estimate(cov_out, mean_out, sigma_hat, mean_out.weights @ mean_block)
 
-    score = mean_out.score if cov_out is None else max(cov_out.score, mean_out.score)
-    outcome = ptr_check(score, params.split(GATE_EPS_FRAC, GATE_DELTA_FRAC), gen)
+
+def _run(
+    mean_block: np.ndarray, cov_block: np.ndarray | None, cfg: EstimatorConfig,
+    params: PrivacyParams, ref_size: int, sizes: dict[str, Any],
+    noise: Callable[[np.random.Generator, Estimate], np.ndarray], rng: RngStream,
+) -> tuple[SampleResult, RunTrace]:
+    """The skeleton every pipeline runs once its input is validated:
+    estimate at a drawn reference set, gate its score, and on Pass return
+    ``est.mu_hat + noise(gen, est)``, drawn after the gate's noise. Non-finite
+    blocks are rejected before the stream is touched, so a rejected call
+    consumes no randomness."""
+    for block in (mean_block, cov_block):
+        if block is not None and not np.isfinite(block).all():
+            raise NonFiniteInput("dataset holds a NaN or infinite entry")
+    gen = rng.generator()
+    ref = subset_indices(gen, mean_block.shape[0], ref_size)
+    est = estimate(mean_block, cov_block, cfg, ref)
+    outcome = ptr_check(est.score, params.split(GATE_EPS_FRAC, GATE_DELTA_FRAC), gen)
     trace = RunTrace(
-        score_cov=None if cov_out is None else cov_out.score,
-        score_mean=mean_out.score,
+        score_cov=None if est.cov is None else est.cov.score,
+        score_mean=est.mean.score,
         ptr=outcome,
-        cov_uniform=None if cov_out is None else bool((cov_out.counts == cfg.k).all()),
-        mean_uniform=bool((mean_out.counts == cfg.k).all()),
+        cov_uniform=None if est.cov is None else bool((est.cov.counts == cfg.k).all()),
+        mean_uniform=bool((est.mean.counts == cfg.k).all()),
         reference_set=ref,
         sizes=sizes,
     )
     if outcome is PtrOutcome.FAIL:
         return SampleResult(None), trace
-    return SampleResult(mu_hat + noise(gen, cov_out, sigma_hat)), trace
+    return SampleResult(est.mu_hat + noise(gen, est)), trace
 
 
 def sample_unbounded(
@@ -156,7 +177,7 @@ def sample_unbounded(
     return _run(
         x[: plan.n1], x[plan.n1 :], EstimatorConfig(plan.lambda0, plan.k), plan.params,
         plan.ref_size, sizes,
-        lambda gen, cov_out, _: scale * (cov_out.w_matrix @ sphere_point(gen, plan.n2)),
+        lambda gen, est: scale * (est.cov.w_matrix @ sphere_point(gen, plan.n2)),
         rng,
     )
 
@@ -203,7 +224,7 @@ def cov_aware_mean(
     c = math.sqrt(c_sq)
     return _run(
         mean_block, cov_block, cfg, params, m_ref, sizes,
-        lambda gen, _, sigma_hat: c * (sym_sqrt(sigma_hat) @ gen.standard_normal(x.shape[1])),
+        lambda gen, est: c * (sym_sqrt(est.sigma_hat) @ gen.standard_normal(x.shape[1])),
         rng,
     )
 
@@ -224,6 +245,6 @@ def sample_known_cov(
     sizes = {"n1": plan.n1, "k": plan.k, "ref_size": plan.ref_size, "lambda0": plan.lambda0}
     return _run(
         x, None, EstimatorConfig(plan.lambda0, plan.k), plan.params, plan.ref_size, sizes,
-        lambda gen, _, __: math.sqrt(1.0 - 1.0 / plan.n1) * gen.standard_normal(plan.d),
+        lambda gen, _: math.sqrt(1.0 - 1.0 / plan.n1) * gen.standard_normal(plan.d),
         rng,
     )

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 import dpgs.audit as audit_mod
+from dpgs import samplers
 from dpgs.audit import (
     AUDIT_PARAMS,
     END_TO_END_MIN_TRIALS,
@@ -172,8 +173,8 @@ class TestReportPlumbing:
         def never(*args, **kwargs):
             raise AssertionError("an estimator ran")
 
-        monkeypatch.setattr(audit_mod, "stable_cov", never)
-        monkeypatch.setattr(audit_mod, "subset_indices", never)
+        for attr in ("estimate", "stable_cov", "subset_indices"):
+            monkeypatch.setattr(audit_mod, attr, never)
         with pytest.raises(PreconditionViolated, match="trials must be >= 1"):
             run_checks([name], seed=1, trials=trials)
 
@@ -242,6 +243,27 @@ class TestUtilityEvents:
         )
         assert rep.verdict == "pass"
         assert rep.check_id == "utility_events.scaled"
+
+
+class TestSharedEstimate:
+    # The audit re-checks the estimate the pipelines ship: every estimate it
+    # reads is samplers.estimate, so each trial reaches samplers.stable_mean.
+    @pytest.mark.parametrize(
+        "run, expected",
+        [
+            (lambda: audit_score_sensitivity(2, [PLAN3], RngStream(7, 1)), 4),
+            (lambda: audit_mean_stability(2, PLAN3, RngStream(7, 5)), 4),
+            (lambda: audit_utility_events(2, STRICT1, RngStream(7, 6)), 2),
+            (lambda: audit_mod._release_law(_smoke_pair(STRICT1, 1)[1], STRICT1), 1),
+        ],
+        ids=["score_sensitivity", "mean_stability", "utility_events", "release_law"],
+    )
+    def test_the_audit_reads_the_samplers_estimate(self, monkeypatch, run, expected):
+        calls = []
+        real = samplers.stable_mean
+        monkeypatch.setattr(samplers, "stable_mean", lambda *args: calls.append(1) or real(*args))
+        run()
+        assert len(calls) == expected
 
 
 class TestDensityLemmas:
@@ -426,7 +448,7 @@ class TestEndToEnd:
         def never(*args, **kwargs):
             raise AssertionError("an estimator or pipeline ran")
 
-        for name in ("sample_unbounded", "stable_cov", "stable_mean"):
+        for name in ("sample_unbounded", "estimate"):
             monkeypatch.setattr(audit_mod, name, never)
         sp = dataclasses.replace(STRICT1, ref_size=STRICT1.n1 - 1)
         with pytest.raises(PreconditionViolated, match="ref_size == n1"):

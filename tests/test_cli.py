@@ -19,6 +19,17 @@ def run_cli(capsys, *argv):
 
 
 PLAN_ARGS = ["--alpha", "0.2", "--epsilon", "1", "--delta", "0.05", "--dim", "1"]
+UNRELEASED_KEYS = {
+    "trace", "score_cov", "score_mean", "ptr", "cov_uniform", "mean_uniform", "reference_set",
+}
+
+
+def assert_released_record_only(doc):
+    # Under propose-test-release the gate bit is all a run may release about
+    # its scores: no unnoised score, uniform flag or reference set, at any depth.
+    assert set(doc) == {"format_version", "outcome", "z", "sizes"}
+    assert not UNRELEASED_KEYS & set(doc["sizes"])
+    assert all(isinstance(v, (int, float)) for v in doc["sizes"].values())
 # the arguments of the two commands that read a CSV, less --dim and --in
 CSV_COMMAND_ARGS = {
     "sample": ["--alpha", "0.2", "--epsilon", "1", "--delta", "0.05"],
@@ -169,13 +180,10 @@ class TestSample:
         doc = json.loads(out)
         assert doc["outcome"] == "ok"
         assert len(doc["z"]) == 1
-        assert doc["trace"]["ptr"] == "pass"
-        # success path logs nothing, and the trace never carries data rows
+        # success path logs nothing, and only the released record is printed
         assert err == ""
-        assert set(doc["trace"]) == {
-            "score_cov", "score_mean", "ptr", "cov_uniform",
-            "mean_uniform", "reference_set", "sizes",
-        }
+        assert_released_record_only(doc)
+        assert set(doc["sizes"]) == {"n", "n1", "n2", "k", "ref_size", "lambda0"}
 
     def test_deterministic(self, capsys, dataset):
         _, out1, _ = run_cli(capsys, "sample", *PLAN_ARGS, "--in", str(dataset), "--seed", "9")
@@ -192,6 +200,7 @@ class TestSample:
         doc = json.loads(out)
         assert doc["outcome"] == "fail"
         assert doc["z"] is None
+        assert_released_record_only(doc)
 
     def test_row_count_mismatch(self, capsys, tmp_path):
         path = tmp_path / "short.csv"
@@ -230,6 +239,7 @@ class TestMean:
         doc = json.loads(out)
         assert doc["outcome"] == "ok"
         assert doc["z"] == pytest.approx([5.0], abs=1.0)
+        assert_released_record_only(doc)
 
     def test_bad_lambda0(self, capsys, dataset):
         code, _, err = run_cli(

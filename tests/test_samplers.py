@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from scipy import stats
 
 from dpgs import estimators, samplers
-from dpgs.estimators import EstimatorConfig, stable_cov, stable_mean
+from dpgs.estimators import EstimatorConfig
 from dpgs.exceptions import (
     InvalidParams,
     NonFiniteInput,
@@ -164,12 +165,55 @@ def test_adjacent_runs_couple_reference_and_output():
     assert t1.ptr is PtrOutcome.PASS and t2.ptr is PtrOutcome.PASS
 
     cfg = EstimatorConfig(PLAN.lambda0, PLAN.k)
-    mus = []
-    for data in (x, x2):
-        cov_out = stable_cov(data[PLAN.n1 :], cfg)
-        mean_out = stable_mean(data[: PLAN.n1], cov_out.covariance(), cfg, t1.reference_set)
-        mus.append(mean_out.weights @ data[: PLAN.n1])
+    mus = [
+        samplers.estimate(data[: PLAN.n1], data[PLAN.n1 :], cfg, t1.reference_set).mu_hat
+        for data in (x, x2)
+    ]
     assert np.allclose(r1.value - r2.value, mus[0] - mus[1], atol=1e-12)
+
+
+def _estimate_bytes(est):
+    arrays = [est.sigma_hat, est.mu_hat, est.mean.weights, est.mean.counts]
+    if est.cov is not None:
+        arrays += [est.cov.w_matrix, est.cov.weights, est.cov.counts]
+    scores = (None if est.cov is None else est.cov.score, est.mean.score)
+    return scores, [a.tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("contaminated", [False, True])
+@pytest.mark.parametrize("pipeline", ["unbounded", "mean", "known_cov"])
+def test_estimate_at_the_reference_set_reproduces_the_trace(pipeline, contaminated):
+    # Each pipeline gates and reports the one chain samplers.estimate runs:
+    # estimate at the trace's reference set gives back its scores and
+    # uniform flags, and it is a pure function of its arguments. A reference
+    # size below n1 makes the reference set matter.
+    sp = dataclasses.replace(PLAN2, ref_size=300)
+    x = gaussian_data(np.random.default_rng(120), sp.n, [1.0, -2.0], [[2.0, 0.0], [0.5, 1.0]])
+    if contaminated:
+        x[sp.n1 : sp.n1 + 6, 0] = 10.0 ** (4.0 + np.arange(6))
+        x[:6, 1] = 10.0 ** (2.0 + np.arange(6))
+    if pipeline == "unbounded":
+        _, trace = sample_unbounded(x, sp, RngStream(31))
+        blocks = (x[: sp.n1], x[sp.n1 :])
+    elif pipeline == "mean":
+        _, trace = cov_aware_mean(x, sp.params, sp.lambda0, RngStream(31))
+        blocks = (x, x[: 2 * (sp.n // 2)])
+    else:
+        _, trace = sample_known_cov(x[: sp.n1], sp, RngStream(31))
+        blocks = (x[: sp.n1], None)
+    cfg = EstimatorConfig(trace.sizes["lambda0"], trace.sizes["k"])
+    est = samplers.estimate(*blocks, cfg, trace.reference_set)
+    assert est.mean.score == trace.score_mean
+    assert bool((est.mean.counts == cfg.k).all()) == trace.mean_uniform
+    if pipeline == "known_cov":
+        assert est.cov is None and trace.score_cov is None and trace.cov_uniform is None
+    else:
+        assert est.cov.score == trace.score_cov
+        assert bool((est.cov.counts == cfg.k).all()) == trace.cov_uniform
+    assert (est.score > 0) == contaminated
+    assert _estimate_bytes(samplers.estimate(*blocks, cfg, trace.reference_set)) == (
+        _estimate_bytes(est)
+    )
 
 
 def test_unbounded_pass_rate_meets_target():
