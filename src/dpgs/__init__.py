@@ -18,10 +18,10 @@ from .estimators import (
     stable_mean,
 )
 from .privacy import (
+    Gate,
     PrivacyParams,
     PtrOutcome,
     SamplerPlan,
-    gate_leakage,
     ladder_granularity,
     noise_multiplier_sq,
     outlier_threshold,
@@ -41,6 +41,7 @@ from .samplers import (
 __all__ = [
     "AuditReport",
     "EstimatorConfig",
+    "Gate",
     "PrivacyParams",
     "PtrOutcome",
     "RngStream",
@@ -58,7 +59,6 @@ __all__ = [
     "audit_tail_facts",
     "audit_utility_events",
     "cov_aware_mean",
-    "gate_leakage",
     "ladder_granularity",
     "largest_good_subset",
     "noise_multiplier_sq",

@@ -57,16 +57,16 @@ from .linalg import (
 )
 from .privacy import (
     E_SQ,
+    Gate,
     PrivacyParams,
     SamplerPlan,
-    pass_probability,
     plan,
     reference_size,
     solve_plan,
     stability_floors,
 )
 from .randomness import RngStream, sphere_batch, subset_indices
-from .samplers import GATE_DELTA_FRAC, GATE_EPS_FRAC, Estimate, estimate, sample_unbounded
+from .samplers import Estimate, estimate, sample_unbounded
 
 FORMAT_VERSION = 1
 
@@ -245,7 +245,7 @@ def _release_law(x: np.ndarray, sp: SamplerPlan) -> tuple[float, Density1D | Non
     the Pass probability p and, when p > 0, the Pass part, p times the density
     of mu + r t on [mu - r, mu + r] with t ~ ProjectedSphereDensity(n2, 1)."""
     est = _estimate(x, sp, np.arange(sp.n1))
-    p = float(pass_probability(est.score, sp.params.split(GATE_EPS_FRAC, GATE_DELTA_FRAC)))
+    p = float(Gate.of(sp.params).pass_probability(est.score))
     if p == 0.0:  # no Pass part, and w_matrix may be zero
         return p, None
     mu = float(est.mu_hat[0])

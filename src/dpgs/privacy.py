@@ -1,5 +1,6 @@
-"""Privacy parameters, the size planner, and the propose-test-release gate's
-noise law and thresholds (the gate itself is ``samplers.ptr_check``).
+"""Privacy parameters, the size planner, and the propose-test-release
+``Gate``: its budget share, threshold, noise scale and exact law (its one
+draw is ``samplers.ptr_check``).
 
 All logarithms are natural.
 """
@@ -59,8 +60,8 @@ def outlier_threshold(d: int, n: int, alpha: float) -> float:
 
 
 def ladder_granularity(params: PrivacyParams) -> int:
-    """Ladder granularity k = ceil(6 log(6/delta) / epsilon) + 4."""
-    return math.ceil(6.0 * math.log(6.0 / params.delta) / params.epsilon) + 4
+    """Ladder granularity k: the least integer score the pipeline's gate fails surely."""
+    return math.ceil(Gate.of(params).fail_score)
 
 
 def reference_size(n: int, k: int, delta: float) -> int:
@@ -194,38 +195,51 @@ def truncated_laplace(
     return float(x) if size is None else x
 
 
-def pass_threshold(params: PrivacyParams) -> float:
-    """Score threshold ln(1/delta)/epsilon + 2 used by the gate."""
-    return math.log(1.0 / params.delta) / params.epsilon + 2.0
+GATE_EPS_FRAC = 1.0 / 3.0
+GATE_DELTA_FRAC = 1.0 / 6.0
+
+
+@dataclass(frozen=True)
+class Gate:
+    """The propose-test-release gate at its own budget params = (eps', delta'):
+    score s passes iff s + eta < threshold, eta Laplace(scale) truncated to
+    +-threshold. Score 0 passes surely, scores from fail_score on fail surely."""
+
+    params: PrivacyParams
+
+    @classmethod
+    def of(cls, params: PrivacyParams) -> "Gate":
+        """The gate of a pipeline at budget params: its (GATE_EPS_FRAC, GATE_DELTA_FRAC) share."""
+        return cls(params.split(GATE_EPS_FRAC, GATE_DELTA_FRAC))
+
+    @property
+    def threshold(self) -> float:
+        return math.log(1.0 / self.params.delta) / self.params.epsilon + 2.0
+
+    @property
+    def scale(self) -> float:
+        return 2.0 / self.params.epsilon
+
+    @property
+    def fail_score(self) -> float:
+        return 2.0 * self.threshold
+
+    def pass_probability(self, score) -> np.ndarray | float:
+        """Exact pass probability of each score: the truncated Laplace CDF at threshold - score."""
+        t, scale = self.threshold, self.scale
+        x = np.clip(t - np.asarray(score, dtype=float), -t, t)
+        return 0.5 + 0.5 * np.sign(x) * np.expm1(-np.abs(x) / scale) / np.expm1(-t / scale)
+
+    @property
+    def leakage(self) -> float:
+        """Exact additive slack of the per-bit guarantee: the largest pass-side
+        (and fail-side) p(s) - e^eps' p(s') over |s - s'| <= 2, attained on a
+        band of scores. It is optimal: no mechanism that passes score 0 and fails
+        scores >= fail_score surely does better (chain scores 0, 2, 4, ...)."""
+        eps = self.params.epsilon
+        return math.expm1(eps) / (2.0 * math.expm1(eps * self.threshold / 2.0))
 
 
 def fail_threshold(params: PrivacyParams) -> float:
-    """Score at or above which the gate fails with certainty."""
-    return 2.0 * math.log(1.0 / params.delta) / params.epsilon + 4.0
-
-
-def pass_probability(score, params: PrivacyParams) -> np.ndarray | float:
-    """Exact probability that the gate passes each score: the truncated
-    Laplace CDF at pass_threshold - score. It is exactly 1 at score 0 and
-    exactly 0 from fail_threshold (twice the pass threshold) on."""
-    t = pass_threshold(params)
-    x = np.clip(t - np.asarray(score, dtype=float), -t, t)
-    scale = 2.0 / params.epsilon
-    return 0.5 + 0.5 * np.sign(x) * np.expm1(-np.abs(x) / scale) / np.expm1(-t / scale)
-
-
-def gate_leakage(params: PrivacyParams) -> float:
-    """Tight additive slack in the gate's per-bit privacy guarantee.
-
-    For scores s, s' with |s - s'| <= 2 the pass probabilities satisfy
-    p <= exp(epsilon) p' + gate_leakage(params) on both the pass and fail
-    side, with equality on a whole band of scores, so the value is exact.
-
-    It equals (e^eps - 1) / (2 (e^{eps T / 2} - 1)) with T the pass
-    threshold.  A chaining argument over scores 0, 2, 4, ... shows no
-    mechanism that passes score 0 surely and fails scores >= 2T surely can
-    do better, so the truncated-Laplace gate is optimal; the value drops
-    below delta itself only when 2 sqrt(delta) e^eps - 2 delta >= e^eps - 1.
-    """
-    t = pass_threshold(params)
-    return math.expm1(params.epsilon) / (2.0 * math.expm1(params.epsilon * t / 2.0))
+    """``Gate(params).fail_score``, for a gate budget params (not a pipeline's)."""
+    return Gate(params).fail_score

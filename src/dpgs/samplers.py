@@ -2,10 +2,10 @@
 
 Three entry points share one skeleton, ``_run``: estimate, gate, noise.
 ``estimate`` runs the stability-scored estimators (the same chain the audit
-re-checks), the noisy threshold test ``ptr_check`` gates the worst score at
-budget (eps/3, delta/6), and only on Pass does the output get noise that
-rides on the estimated covariance factor. Each entry point only validates
-its input, splits it into blocks and supplies its release noise.
+re-checks), the noisy threshold test ``ptr_check`` gates the worst score
+with the pipeline's ``privacy.Gate``, and only on Pass does the output get
+noise that rides on the estimated covariance factor. Each entry point only
+validates its input, splits it into blocks and supplies its release noise.
 
 Every pipeline consumes its RngStream through a single generator in a fixed
 order (reference subset, gate noise, then output randomness), so running
@@ -25,20 +25,11 @@ from .estimators import (
 )
 from .exceptions import NonFiniteInput, PreconditionViolated, ShapeMismatch, SubsetTooLarge
 from .linalg import sym_sqrt
-from .privacy import (
-    PrivacyParams,
-    PtrOutcome,
-    SamplerPlan,
-    ladder_granularity,
-    noise_multiplier_sq,
-    pass_threshold,
-    reference_size,
-    truncated_laplace,
+from .privacy import (  # perfbench reads GATE_EPS_FRAC and GATE_DELTA_FRAC here
+    GATE_DELTA_FRAC, GATE_EPS_FRAC, Gate, PrivacyParams, PtrOutcome, SamplerPlan,
+    noise_multiplier_sq, reference_size, truncated_laplace,
 )
 from .randomness import RngStream, sphere_point, subset_indices
-
-GATE_EPS_FRAC = 1.0 / 3.0
-GATE_DELTA_FRAC = 1.0 / 6.0
 
 
 @dataclass(frozen=True)
@@ -80,20 +71,12 @@ class RunTrace:
         }
 
 
-def ptr_check(score: float, params: PrivacyParams, gen: np.random.Generator) -> PtrOutcome:
-    """Noisy threshold test on a sensitivity-2 instability score.
-
-    Pass iff score + eta < ln(1/delta)/epsilon + 2 with eta truncated
-    Laplace noise (scale 2/epsilon, support +-(ln(1/delta)/epsilon + 2))
-    drawn from gen. Score 0 always passes; scores at or beyond
-    2 ln(1/delta)/epsilon + 4 always fail; in between both outcomes have
-    positive probability. The pipelines call it with their budget's
-    (GATE_EPS_FRAC, GATE_DELTA_FRAC) share.
-    """
+def ptr_check(score: float, gate: Gate, gen: np.random.Generator) -> PtrOutcome:
+    """gate's noisy threshold test on a sensitivity-2 score: one ``gen.random()`` draw."""
     if not np.isfinite(score) or score < 0.0:
         raise PreconditionViolated(f"score must be finite and >= 0, got {score}")
-    threshold = pass_threshold(params)
-    eta = truncated_laplace(gen, 2.0 / params.epsilon, threshold)
+    threshold = gate.threshold
+    eta = truncated_laplace(gen, gate.scale, threshold)
     return PtrOutcome.PASS if score + eta < threshold else PtrOutcome.FAIL
 
 
@@ -128,7 +111,7 @@ def estimate(
 
 def _run(
     mean_block: np.ndarray, cov_block: np.ndarray | None, cfg: EstimatorConfig,
-    params: PrivacyParams, ref_size: int, sizes: dict[str, Any],
+    gate: Gate, ref_size: int, sizes: dict[str, Any],
     noise: Callable[[np.random.Generator, Estimate], np.ndarray], rng: RngStream,
 ) -> tuple[SampleResult, RunTrace]:
     """The skeleton every pipeline runs once its input is validated:
@@ -142,7 +125,7 @@ def _run(
     gen = rng.generator()
     ref = subset_indices(gen, mean_block.shape[0], ref_size)
     est = estimate(mean_block, cov_block, cfg, ref)
-    outcome = ptr_check(est.score, params.split(GATE_EPS_FRAC, GATE_DELTA_FRAC), gen)
+    outcome = ptr_check(est.score, gate, gen)
     trace = RunTrace(
         score_cov=None if est.cov is None else est.cov.score,
         score_mean=est.mean.score,
@@ -175,7 +158,7 @@ def sample_unbounded(
     sizes = {"n": plan.n, "n1": plan.n1, "n2": plan.n2, "k": plan.k,
              "ref_size": plan.ref_size, "lambda0": plan.lambda0}
     return _run(
-        x[: plan.n1], x[plan.n1 :], EstimatorConfig(plan.lambda0, plan.k), plan.params,
+        x[: plan.n1], x[plan.n1 :], EstimatorConfig(plan.lambda0, plan.k), Gate.of(plan.params),
         plan.ref_size, sizes,
         lambda gen, est: scale * (est.cov.w_matrix @ sphere_point(gen, plan.n2)),
         rng,
@@ -203,7 +186,8 @@ def cov_aware_mean(
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 1:
         raise ShapeMismatch(f"expected at least 2 rows and 1 column, got shape {x.shape}")
     n = x.shape[0]
-    k = ladder_granularity(params)
+    gate = Gate.of(params)
+    k = math.ceil(gate.fail_score)  # ladder_granularity(params), off the one gate
     m_ref = reference_size(n, k, params.delta)
 
     if split_n1 is None:
@@ -223,7 +207,7 @@ def cov_aware_mean(
     sizes = {"n": n, "k": k, "ref_size": m_ref, "lambda0": lambda0, "c_sq": c_sq}
     c = math.sqrt(c_sq)
     return _run(
-        mean_block, cov_block, cfg, params, m_ref, sizes,
+        mean_block, cov_block, cfg, gate, m_ref, sizes,
         lambda gen, est: c * (sym_sqrt(est.sigma_hat) @ gen.standard_normal(x.shape[1])),
         rng,
     )
@@ -244,7 +228,7 @@ def sample_known_cov(
         raise ShapeMismatch(f"dataset shape {x.shape} does not match plan {(plan.n1, plan.d)}")
     sizes = {"n1": plan.n1, "k": plan.k, "ref_size": plan.ref_size, "lambda0": plan.lambda0}
     return _run(
-        x, None, EstimatorConfig(plan.lambda0, plan.k), plan.params, plan.ref_size, sizes,
+        x, None, EstimatorConfig(plan.lambda0, plan.k), Gate.of(plan.params), plan.ref_size, sizes,
         lambda gen, _: math.sqrt(1.0 - 1.0 / plan.n1) * gen.standard_normal(plan.d),
         rng,
     )

@@ -9,6 +9,7 @@ import dpgs
 PUBLIC = [
     "AuditReport",
     "EstimatorConfig",
+    "Gate",
     "PrivacyParams",
     "PtrOutcome",
     "RngStream",
@@ -26,7 +27,6 @@ PUBLIC = [
     "audit_tail_facts",
     "audit_utility_events",
     "cov_aware_mean",
-    "gate_leakage",
     "ladder_granularity",
     "largest_good_subset",
     "noise_multiplier_sq",

@@ -20,12 +20,12 @@ import numpy as np  # noqa: E402
 
 from perfbench import measure  # noqa: E402
 from perfbench.tracing import Tracer  # noqa: E402
-from perfbench.workloads import WORKLOADS  # noqa: E402
+from perfbench.workloads import ALPHA, PARAMS, WORKLOADS  # noqa: E402
 
-from dpgs import audit, estimators  # noqa: E402
-from dpgs.privacy import PrivacyParams, plan  # noqa: E402
+from dpgs import audit, estimators, privacy, samplers  # noqa: E402
+from dpgs.privacy import Gate, PrivacyParams, plan  # noqa: E402
 from dpgs.randomness import RngStream  # noqa: E402
-from dpgs.samplers import sample_known_cov, sample_unbounded  # noqa: E402
+from dpgs.samplers import cov_aware_mean, sample_known_cov, sample_unbounded  # noqa: E402
 
 
 def test_every_wrapped_name_exists_and_is_callable():
@@ -35,6 +35,35 @@ def test_every_wrapped_name_exists_and_is_callable():
 
 def test_registry_matches_the_benchmark_checks():
     assert set(audit.REGISTRY) == set(measure.AUDIT_CHECKS)
+
+
+def test_each_pipeline_call_draws_the_gate_once_through_its_traced_name():
+    # privacy.gate.ms times samplers.truncated_laplace; a gate that drew
+    # through another name would read 0 there without any error
+    sp = plan(ALPHA, PARAMS, 2)
+    x = 3.0 + np.random.default_rng(2024).standard_normal((sp.n, sp.d))
+    runs = (
+        lambda: sample_unbounded(x, sp, RngStream(1, 1)),
+        lambda: cov_aware_mean(x, sp.params, sp.lambda0, RngStream(1, 1), split_n1=sp.n1),
+        lambda: sample_known_cov(x[: sp.n1], sp, RngStream(1, 1)),
+    )
+    tracer = Tracer()
+    gate_spans = []
+    try:
+        measure.install(tracer)
+        for run in runs:
+            tracer.reset()
+            run()
+            gate_spans.append([s.name for s in tracer.spans()].count("privacy.gate"))
+    finally:
+        tracer.restore()
+    assert gate_spans == [1, 1, 1]
+
+
+def test_the_benchmark_fail_score_is_the_pipeline_gates():
+    # perfbench's output check fails a release whose max score reaches this
+    share = PARAMS.split(samplers.GATE_EPS_FRAC, samplers.GATE_DELTA_FRAC)
+    assert privacy.fail_threshold(share) == Gate.of(PARAMS).fail_score
 
 
 def _eigh_counts(d):

@@ -31,11 +31,10 @@ import numpy as np
 import pytest
 
 from dpgs.audit import relaxed_plan, reports_to_json_lines, run_checks
-from dpgs.privacy import PrivacyParams, gate_leakage, plan
+from dpgs.privacy import Gate, PrivacyParams, plan
 from dpgs.randomness import RngStream
 from dpgs.samplers import (
     GATE_DELTA_FRAC,
-    GATE_EPS_FRAC,
     cov_aware_mean,
     sample_known_cov,
     sample_unbounded,
@@ -282,5 +281,4 @@ def test_plans_match_golden():
 def test_gate_leakage_stays_within_its_delta_share(eps, delta):
     # The gate runs at (eps/3, delta/6); its exact per-bit leakage must fit
     # in that delta/6. It does not on any of the grid's budgets.
-    gate = PrivacyParams(eps, delta).split(GATE_EPS_FRAC, GATE_DELTA_FRAC)
-    assert gate_leakage(gate) <= delta * GATE_DELTA_FRAC
+    assert Gate.of(PrivacyParams(eps, delta)).leakage <= delta * GATE_DELTA_FRAC

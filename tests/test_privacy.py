@@ -3,20 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dpgs.exceptions import InvalidParams, NoConvergence, PreconditionViolated
 from dpgs.privacy import (
+    Gate,
     PrivacyParams,
     PtrOutcome,
     fail_threshold,
-    gate_leakage,
     ladder_granularity,
     noise_multiplier_sq,
     outlier_threshold,
-    pass_probability,
-    pass_threshold,
     plan,
     reference_size,
     solve_plan,
@@ -208,17 +206,48 @@ def test_plan_to_dict_round_trips_scalars():
 
 def test_thresholds_ordering():
     p = PrivacyParams(0.8, 0.05)
-    assert pass_threshold(p) == pytest.approx(math.log(20.0) / 0.8 + 2.0)
-    assert fail_threshold(p) == pytest.approx(2.0 * math.log(20.0) / 0.8 + 4.0)
-    assert fail_threshold(p) == pytest.approx(2.0 * pass_threshold(p))
+    gate = Gate(p)
+    assert gate.threshold == pytest.approx(math.log(20.0) / 0.8 + 2.0)
+    assert gate.scale == pytest.approx(2.0 / 0.8)
+    assert gate.fail_score == pytest.approx(2.0 * math.log(20.0) / 0.8 + 4.0)
+    assert fail_threshold(p) == gate.fail_score
+    # a pipeline at budget p runs its gate at (eps/3, delta/6)
+    assert Gate.of(p).threshold == pytest.approx(3.0 * math.log(120.0) / 0.8 + 2.0)
 
 
-def test_ladder_granularity_forces_gate_failure():
-    # a maxed-out score always fails the gate run at (eps/3, delta/6)
-    for eps, delta in [(1.0, 0.1), (0.5, 0.01), (0.2, 0.004), (1.0, 1e-6)]:
-        p = PrivacyParams(eps, delta)
-        k = ladder_granularity(p)
-        assert k >= fail_threshold(p.split(1.0 / 3.0, 1.0 / 6.0))
+# Where 6 ln(6/delta)/eps is within rounding of an integer, the closed form and
+# the gate's fail score can round to either side of it.
+CLOSED_FORM_BELOW_GATE = PrivacyParams(0.9576679379284059, 0.02249107229605901)
+CLOSED_FORM_ABOVE_GATE = PrivacyParams(0.9642247765690997, 0.04116904899035301)
+
+
+@given(valid_params)
+@example(CLOSED_FORM_BELOW_GATE)
+@example(CLOSED_FORM_ABOVE_GATE)
+@example(PrivacyParams(1.0, 0.1))
+@example(PrivacyParams(0.5, 0.01))
+@example(PrivacyParams(0.2, 0.004))
+@example(PrivacyParams(1.0, 1e-6))
+@settings(max_examples=300, deadline=None)
+def test_ladder_granularity_forces_gate_failure(p):
+    # a maxed-out score k always fails the pipeline's gate, and k is the
+    # least integer that does
+    k = ladder_granularity(p)
+    assert k - 1 < Gate.of(p).fail_score <= k
+    # the closed form, away from the integers it can round across
+    x = 6.0 * math.log(6.0 / p.delta) / p.epsilon
+    if abs(x - round(x)) > 1e-12 * x:
+        assert k == math.ceil(x) + 4
+
+
+def test_ladder_granularity_follows_the_gate_where_the_closed_form_rounds_across():
+    closed = lambda p: math.ceil(6.0 * math.log(6.0 / p.delta) / p.epsilon) + 4  # noqa: E731
+    # the closed form's k = 39 would let the maxed-out score 39 pass
+    assert closed(CLOSED_FORM_BELOW_GATE) == 39 < Gate.of(CLOSED_FORM_BELOW_GATE).fail_score
+    assert ladder_granularity(CLOSED_FORM_BELOW_GATE) == 40
+    assert closed(CLOSED_FORM_ABOVE_GATE) == 36
+    assert Gate.of(CLOSED_FORM_ABOVE_GATE).fail_score == 35.0
+    assert ladder_granularity(CLOSED_FORM_ABOVE_GATE) == 35
 
 
 def test_truncated_laplace_bounds_and_symmetry():
@@ -253,43 +282,43 @@ def test_truncated_laplace_tail_mass_matches():
 @settings(max_examples=300, deadline=None)
 def test_ptr_extremes_are_deterministic(p):
     rng = RngStream(12345)
-    assert ptr_check(0.0, p, rng.generator()) is PtrOutcome.PASS
-    assert ptr_check(fail_threshold(p), p, rng.generator()) is PtrOutcome.FAIL
-    assert ptr_check(fail_threshold(p) + 5.0, p, rng.generator()) is PtrOutcome.FAIL
+    gate = Gate(p)
+    assert ptr_check(0.0, gate, rng.generator()) is PtrOutcome.PASS
+    assert ptr_check(gate.fail_score, gate, rng.generator()) is PtrOutcome.FAIL
+    assert ptr_check(gate.fail_score + 5.0, gate, rng.generator()) is PtrOutcome.FAIL
 
 
-def pass_mask(scores, p, gen):
+def pass_mask(scores, gate, gen):
     """Reference gate outcomes (True = pass) for a batch of scores: one
     truncated-Laplace draw per score, pass iff score + eta < threshold."""
-    threshold = pass_threshold(p)
-    eta = truncated_laplace(gen, 2.0 / p.epsilon, threshold, size=scores.size)
+    threshold = gate.threshold
+    eta = truncated_laplace(gen, gate.scale, threshold, size=scores.size)
     return scores + eta < threshold
 
 
 def test_ptr_midpoint_rate_near_half():
-    p = PrivacyParams(1.0, 0.05)
+    gate = Gate(PrivacyParams(1.0, 0.05))
     gen = np.random.default_rng(8080)
-    mid = pass_threshold(p)
-    passes = pass_mask(np.full(20_000, mid), p, gen)
+    passes = pass_mask(np.full(20_000, gate.threshold), gate, gen)
     rate = passes.mean()
     assert 0.47 <= rate <= 0.53
 
 
 def test_ptr_monotone_in_score_for_fixed_noise():
-    p = PrivacyParams(0.7, 0.03)
-    scores = np.linspace(0.0, fail_threshold(p), 25)
+    gate = Gate(PrivacyParams(0.7, 0.03))
+    scores = np.linspace(0.0, gate.fail_score, 25)
     for seed in range(20):
-        outcomes = [ptr_check(s, p, RngStream(seed).generator()) for s in scores]
+        outcomes = [ptr_check(s, gate, RngStream(seed).generator()) for s in scores]
         flags = [o is PtrOutcome.PASS for o in outcomes]
         # once it fails it stays failed as the score grows
         assert flags == sorted(flags, reverse=True)
 
 
-def _gate_gap_stats(p, s, trials, gen):
+def _gate_gap_stats(gate, s, trials, gen):
     """Both one-sided empirical gaps for the score pair (s, s + 2)."""
-    e = math.exp(p.epsilon)
-    pa = pass_mask(np.full(trials, s), p, gen).mean()
-    pb = pass_mask(np.full(trials, s + 2.0), p, gen).mean()
+    e = math.exp(gate.params.epsilon)
+    pa = pass_mask(np.full(trials, s), gate, gen).mean()
+    pb = pass_mask(np.full(trials, s + 2.0), gate, gen).mean()
     sigma = math.sqrt(pa * (1 - pa) / trials) + e * math.sqrt(pb * (1 - pb) / trials)
     return pa - e * pb, (1 - pb) - e * (1 - pa), max(sigma, 1e-9)
 
@@ -299,48 +328,50 @@ def test_ptr_empirical_privacy_where_delta_is_attainable():
     # per-bit leakage sits below delta, so the plain (eps, delta)
     # inequality must hold at every score pair up to Monte Carlo error
     p = PrivacyParams(0.3, 0.03)
-    assert gate_leakage(p) < p.delta
+    gate = Gate(p)
+    assert gate.leakage < p.delta
     gen = np.random.default_rng(99)
     trials = 400_000
-    mid = pass_threshold(p)
+    mid = gate.threshold
     for s in (0.0, mid - 3.0, mid - 1.0, mid, mid + 1.0, 2 * mid - 3.0):
-        pass_gap, fail_gap, sigma = _gate_gap_stats(p, s, trials, gen)
+        pass_gap, fail_gap, sigma = _gate_gap_stats(gate, s, trials, gen)
         assert pass_gap <= p.delta + 3 * sigma
         assert fail_gap <= p.delta + 3 * sigma
 
 
 def test_ptr_leakage_is_exact_and_unavoidable():
     # with certain-pass at 0 and certain-fail at twice the threshold, no
-    # gate can leak less than gate_leakage; ours meets that floor with
+    # gate can leak less than its leakage; ours meets that floor with
     # equality on a whole band of scores, which costs more than delta at
     # sharply split budgets like this one
     p = PrivacyParams(1.0, 0.05)
-    leak = gate_leakage(p)
+    gate = Gate(p)
+    leak = gate.leakage
     assert leak > p.delta  # the plain delta bound is infeasible here
-    t = pass_threshold(p)
+    t = gate.threshold
     ratio = math.expm1(p.epsilon) / (2.0 * (math.exp(p.epsilon * t / 2.0) - 1.0))
     assert leak == pytest.approx(ratio, rel=1e-12)
 
     gen = np.random.default_rng(909)
     trials = 1_000_000
     for s in (0.0, t - 3.0, t - 1.0, t, t + 1.0, 2 * t - 3.0):
-        pass_gap, fail_gap, sigma = _gate_gap_stats(p, s, trials, gen)
+        pass_gap, fail_gap, sigma = _gate_gap_stats(gate, s, trials, gen)
         assert pass_gap <= leak + 4 * sigma
         assert fail_gap <= leak + 4 * sigma
     # tightness: at the threshold itself the pass-side gap attains the floor
-    pass_gap, _, sigma = _gate_gap_stats(p, t, trials, gen)
+    pass_gap, _, sigma = _gate_gap_stats(gate, t, trials, gen)
     assert pass_gap >= leak - 4 * sigma
 
 
 def test_ptr_pass_mask_matches_scalar_path():
     # the scalar gate, called once per score on one generator, makes the
     # same draws as the batch reference on a generator of the same stream
-    p = PrivacyParams(0.5, 0.02)
-    scores = np.linspace(0.0, fail_threshold(p) + 1.0, 400)
+    gate = Gate(PrivacyParams(0.5, 0.02))
+    scores = np.linspace(0.0, gate.fail_score + 1.0, 400)
     for seed in range(5):
         gen = RngStream(seed).generator()
-        scalar = [ptr_check(s, p, gen) is PtrOutcome.PASS for s in scores]
-        mask = pass_mask(scores, p, RngStream(seed).generator())
+        scalar = [ptr_check(s, gate, gen) is PtrOutcome.PASS for s in scores]
+        mask = pass_mask(scores, gate, RngStream(seed).generator())
         assert mask.dtype == bool and mask.shape == scores.shape
         assert scalar == mask.tolist()
         assert mask[0] and not mask[-1]
@@ -350,27 +381,29 @@ def test_ptr_pass_mask_matches_scalar_path():
 @given(valid_params)
 @settings(max_examples=300, deadline=None)
 def test_pass_probability_is_exact_at_the_extremes(p):
-    assert pass_probability(0.0, p) == 1.0
-    t = fail_threshold(p)
-    assert pass_probability(t, p) == 0.0
-    assert (pass_probability(np.array([t, t + 1e-9, t + 5.0, 1e300]), p) == 0.0).all()
+    gate = Gate(p)
+    assert gate.pass_probability(0.0) == 1.0
+    t = gate.fail_score
+    assert gate.pass_probability(t) == 0.0
+    assert (gate.pass_probability(np.array([t, t + 1e-9, t + 5.0, 1e300])) == 0.0).all()
 
 
 def test_pass_probability_is_non_increasing_in_the_score():
     for p in (PrivacyParams(1.0, 0.05), PrivacyParams(0.3, 0.03), PrivacyParams(1e-3, 1e-8)):
-        probs = pass_probability(np.linspace(0.0, fail_threshold(p) + 1.0, 100_001), p)
+        gate = Gate(p)
+        probs = gate.pass_probability(np.linspace(0.0, gate.fail_score + 1.0, 100_001))
         assert (np.diff(probs) <= 0.0).all()
         assert probs[0] == 1.0 and probs[-1] == 0.0
 
 
 def test_pass_probability_matches_the_gate_rate():
-    p = PrivacyParams(1.0, 0.05)
+    gate = Gate(PrivacyParams(1.0, 0.05))
     gen = np.random.default_rng(4242)
     trials = 200_000
-    t = pass_threshold(p)
+    t = gate.threshold
     for s in (t - 3.0, t, t + 1.0):
-        want = float(pass_probability(s, p))
-        rate = pass_mask(np.full(trials, s), p, gen).mean()
+        want = float(gate.pass_probability(s))
+        rate = pass_mask(np.full(trials, s), gate, gen).mean()
         assert abs(rate - want) <= 4.0 * math.sqrt(want * (1.0 - want) / trials)
 
 
@@ -379,16 +412,16 @@ def test_pass_probability_gaps_peak_at_the_gate_leakage(eps, delta):
     # Adjacent scores differ by at most 2. The largest pass-side and
     # fail-side gaps over a fine score grid are the exact leakage, which
     # both sides attain on a whole band of scores.
-    p = PrivacyParams(eps, delta)
-    s = np.linspace(0.0, fail_threshold(p), 200_001)
+    gate = Gate(PrivacyParams(eps, delta))
+    s = np.linspace(0.0, gate.fail_score, 200_001)
     assert s[1] - s[0] <= 1e-3
-    lo, hi = pass_probability(s, p), pass_probability(s + 2.0, p)
+    lo, hi = gate.pass_probability(s), gate.pass_probability(s + 2.0)
     e = math.exp(eps)
-    assert (lo - e * hi).max() == pytest.approx(gate_leakage(p), rel=1e-9)
-    assert ((1.0 - hi) - e * (1.0 - lo)).max() == pytest.approx(gate_leakage(p), rel=1e-9)
+    assert (lo - e * hi).max() == pytest.approx(gate.leakage, rel=1e-9)
+    assert ((1.0 - hi) - e * (1.0 - lo)).max() == pytest.approx(gate.leakage, rel=1e-9)
 
 
 @pytest.mark.parametrize("score", [-1.0, np.nan, np.inf])
 def test_ptr_check_rejects_bad_score(score):
     with pytest.raises(PreconditionViolated):
-        ptr_check(score, PrivacyParams(0.5, 0.02), RngStream(0).generator())
+        ptr_check(score, Gate(PrivacyParams(0.5, 0.02)), RngStream(0).generator())
