@@ -3,9 +3,10 @@
 Each audit op runs seeded Monte Carlo trials (or deterministic grids) against
 one verifiable guarantee of the pipeline: adjacent-dataset score sensitivity,
 covariance and mean stability, the clean-data uniform-weight implication,
-log-density-ratio caps, matrix norm bounds behind the sphere-projection
-argument, classical tail facts, and end-to-end output closeness. Results come
-back as AuditReport records that serialize to JSON lines plus a CSV summary.
+log-density-ratio caps (differences of divergences.t_density_log_pdf), matrix
+norm bounds behind the sphere-projection argument, classical tail facts, and
+end-to-end output closeness. Results come back as AuditReport records that
+serialize to JSON lines plus a CSV summary.
 
 Exact structural checks count hard failures; statistical checks state a
 3-sigma Monte Carlo tolerance. Reports are a pure function of (config, seed):
@@ -39,9 +40,7 @@ from .divergences import (  # hs_discrete has no caller here; perfbench rebinds 
     ProjectedSphereDensity,
     hockey_stick_1d,
     hs_discrete,
-    scaled_projection_log_ratio,
-    shift_log_ratio,
-    t_density_log_ratio,
+    t_density_log_pdf,
     tv_histogram,
     weak_triangle_check,
 )
@@ -555,15 +554,22 @@ def audit_density_lemmas(rng: RngStream, mode: str = "relaxed") -> AuditReport:
       against the worst admissible shift vector.
 
     All three must stay at or below eps / 2 everywhere, at eps =
-    GRID_EPSILON and lambda0 = GRID_LAMBDA0.
+    GRID_EPSILON and lambda0 = GRID_LAMBDA0. Each log ratio is a difference
+    of t_density_log_pdf, the one projected-sphere law, evaluated over a
+    whole grid per call.
     """
     eps = GRID_EPSILON
     lam0 = GRID_LAMBDA0
     budget = eps / 2.0
-    failures = 0
+    f = t_density_log_pdf  # each cap bounds a difference of this log density
     stats_out: dict[str, float] = {"budget": budget}
 
-    # rescaled-coordinate region: ratio extremes of the covariance sandwich
+    def failed(vals: np.ndarray) -> int:
+        # a NaN or +inf difference fails too: only one at or under the cap passes
+        return int(np.count_nonzero(~(vals <= budget + GRID_TOL)))
+
+    # rescaled-coordinate region at d = 1: ratio extremes of the covariance
+    # sandwich; rescaling by r is the linear image with M = 1/r^2
     n2_a = math.ceil(32.0 * E_SQ * lam0 / eps)
     gamma_a = 8.0 * E_SQ * lam0 / n2_a
     t_max = math.sqrt((2.0 / 3.0) * eps / (eps + 16.0 * E_SQ * lam0))
@@ -575,41 +581,36 @@ def audit_density_lemmas(rng: RngStream, mode: str = "relaxed") -> AuditReport:
         (1.0 - gamma_a) ** -0.25,
         1.0 / math.sqrt(1.0 - gamma_a),
     ]
-    worst = -math.inf
-    for r in ratios:
-        vals = [scaled_projection_log_ratio(float(t), r, n2_a) for t in ts]
-        worst = max(worst, max(vals))
-        failures += sum(1 for v in vals if v > budget + GRID_TOL)
-    stats_out["worst_scaled_projection"] = worst
-    stats_out["points_scaled_projection"] = float(ts.size * len(ratios))
+    pts = ts[:, None]
+    vals = np.stack([f(pts, np.eye(1), n2_a) - f(pts, np.eye(1) / (r * r), n2_a) for r in ratios])
+    failures = failed(vals)
+    stats_out["worst_scaled_projection"] = float(vals.max())
+    stats_out["points_scaled_projection"] = float(vals.size)
 
-    # projection-vs-linear-image region, one grid per dimension
+    # projection-vs-linear-image region, one grid per dimension: each
+    # direction u is cut at 1/4..1 of its largest admissible radius
     n2_b = math.ceil(96.0 * E_SQ * lam0 / eps)
     gamma_b = 8.0 * E_SQ * lam0 / n2_b
     quad_cap = eps / (4.0 * n2_b)
     fracs = np.array([0.25, 0.5, 0.75, 1.0])
     for d in GRID_DIMS:
         gen = rng.child(100 + d).generator()
-        worst_d = -math.inf
-        count = 0
-        for block in range(5):
+        eye = np.eye(d)
+        blocks = []
+        for _ in range(5):
             m = _rotated_spd(gen, d, 1.5 * gamma_b / d)
-            eye = np.eye(d)
             dirs = sphere_batch(gen, d, GRID_POINTS // 20)
-            for u in dirs:
-                q_m = float(u @ m @ u)
-                q_gap = float(u @ (m - eye) @ u)
-                rho = math.sqrt(0.5 / q_m)
-                if q_gap > 0.0:
-                    rho = min(rho, math.sqrt(quad_cap / q_gap))
-                for f in fracs:
-                    t = (f * rho) * u
-                    val = t_density_log_ratio(t, m, n2_b)
-                    worst_d = max(worst_d, val)
-                    failures += 1 if val > budget + GRID_TOL else 0
-                    count += 1
-        stats_out[f"worst_t_density_d{d}"] = worst_d
-        stats_out[f"points_t_density_d{d}"] = float(count)
+            q_m = np.sum((dirs @ m) * dirs, axis=1)
+            q_gap = np.sum((dirs @ (m - eye)) * dirs, axis=1)
+            rho = np.sqrt(0.5 / q_m)
+            gap = q_gap > 0.0
+            rho[gap] = np.minimum(rho[gap], np.sqrt(quad_cap / q_gap[gap]))
+            pts = (rho[:, None] * fracs)[:, :, None] * dirs[:, None, :]
+            blocks.append(f(pts, eye, n2_b) - f(pts, m, n2_b))
+        vals = np.concatenate(blocks)
+        failures += failed(vals)
+        stats_out[f"worst_t_density_d{d}"] = float(vals.max())
+        stats_out[f"points_t_density_d{d}"] = float(vals.size)
 
     # recentering region: worst admissible shift length, slab grid around it
     d_s = SHIFT_DIM
@@ -625,23 +626,17 @@ def audit_density_lemmas(rng: RngStream, mode: str = "relaxed") -> AuditReport:
     perp /= np.linalg.norm(perp)
     ell = ell_norm * u_ell
     a_max = (eps / (50.0 * n2_c)) / ell_norm
-    worst_c = -math.inf
-    count = 0
-    for a in np.linspace(-a_max, a_max, 25):
-        b_max = math.sqrt(max(0.81 - a * a, 0.0))
-        for b in np.linspace(0.0, b_max, 41):
-            t = a * u_ell + b * perp
-            val = shift_log_ratio(t, ell, n2_c)
-            worst_c = max(worst_c, val)
-            failures += 1 if val > budget + GRID_TOL else 0
-            count += 1
-    stats_out["worst_shift"] = worst_c
-    stats_out["points_shift"] = float(count)
+    a = np.linspace(-a_max, a_max, 25)
+    b = np.linspace(0.0, np.sqrt(np.maximum(0.81 - a * a, 0.0)), 41, axis=1)
+    pts = a[:, None, None] * u_ell + b[:, :, None] * perp
+    eye = np.eye(d_s)
+    vals = f(pts, eye, n2_c) - f(pts - ell, eye, n2_c)
+    failures += failed(vals)
+    stats_out["worst_shift"] = float(vals.max())
+    stats_out["points_shift"] = float(vals.size)
     stats_out["shift_norm"] = ell_norm
 
-    total = int(stats_out["points_scaled_projection"] + count) + int(
-        sum(v for k, v in stats_out.items() if k.startswith("points_t_density"))
-    )
+    total = int(sum(v for k, v in stats_out.items() if k.startswith("points_")))
     return AuditReport(
         check_id="density_lemmas",
         mode=mode,

@@ -1,4 +1,4 @@
-"""Divergence estimators and closed-form density ratios for the audits.
+"""Divergence estimators and the projected-sphere density for the audits.
 
 The hockey-stick divergence of order exp(eps) is
 ``max_S (P(S) - exp(eps) Q(S))``; at eps = 0 it is total variation. Two
@@ -6,6 +6,11 @@ equivalent integral forms are implemented and cross-checked:
 
   max form:  integral of max(p - exp(eps) q, 0)
   abs form:  0.5 * integral of |p - exp(eps) q|  -  0.5 * (exp(eps) - 1)
+
+The projected-sphere law (the first i coordinates of a uniform point on
+S^{n-1}) is written once, in ProjectedSphereDensity.log_pdf_sq;
+t_density_log_pdf pushes it through a linear map, and the audit's
+log-ratio grids read differences of that log density.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import numpy as np
 from .exceptions import (
     DimensionMismatch,
     NotPD,
-    OutOfSupport,
     PreconditionViolated,
     QuadratureFailure,
     SupportMismatch,
@@ -130,6 +134,11 @@ class ProjectedSphereDensity:
             if x.shape[-1] != self.i:
                 raise DimensionMismatch(f"expected last axis {self.i}, got {x.shape}")
             sq = np.sum(x * x, axis=-1)
+        return self.log_pdf_sq(sq)
+
+    def log_pdf_sq(self, sq: np.ndarray) -> np.ndarray:
+        """log_pdf at points of squared norm sq, -inf from sq >= 1 on."""
+        sq = np.asarray(sq, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             val = self.exponent() * np.log1p(-sq) - self.log_norm
         return np.where(sq < 1.0, val, -np.inf)
@@ -257,87 +266,27 @@ def weak_triangle_check(
     return lhs <= rhs + 1e-12
 
 
-def _sphere_log_ratio(const: float, qa: float, qb: float, n2: int, d: int) -> float:
-    """``const + ((n2 - d - 2)/2) ln((1 - qa) / (1 - qb))``: const plus the
-    log ratio of ProjectedSphereDensity(n2, d) at two points of squared
-    norms qa and qb, which must both be below 1 (OutOfSupport otherwise).
-    The law needs n2 > d, as ProjectedSphereDensity does."""
-    if n2 <= d:
-        raise PreconditionViolated(f"need n2 > d, got n2={n2}, d={d}")
-    if not (qa < 1.0 and qb < 1.0):
-        raise OutOfSupport(f"point outside the unit ball: squared norms {qa} and {qb}")
-    return const + 0.5 * (n2 - d - 2) * (math.log1p(-qa) - math.log1p(-qb))
-
-
-def scaled_projection_log_ratio(t: float, ratio: float, n2: int) -> float:
-    """Log density ratio of a sphere projection against its rescaling.
-
-    If z1 is the first coordinate of a uniform point on S^{n2-1} and T is
-    ratio * z1, the log ratio of their densities at t is
-    ``ln(ratio) + ((n2 - 3)/2) ln((1 - t^2) / (1 - (t/ratio)^2))``.
-    """
-    if ratio <= 0.0:
-        raise PreconditionViolated("ratio must be positive")
-    # capped at 1, which is out of support, so a huge t/ratio cannot overflow
-    scaled_sq = min(abs(t / ratio), 1.0) ** 2
-    return _sphere_log_ratio(math.log(ratio), t * t, scaled_sq, n2, 1)
-
-
-def _point_and_logdet(t: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """t as a flat d-vector, m checked symmetric d x d, and ln det m; NotPD
-    unless m is positive definite."""
-    t = np.asarray(t, dtype=float).reshape(-1)
-    m = check_symmetric(m)
-    if m.shape[0] != t.shape[0]:
-        raise DimensionMismatch(f"m must be {t.shape[0]}x{t.shape[0]}, got {m.shape}")
-    sign, logdet = np.linalg.slogdet(m)
-    if sign <= 0.0:
-        raise NotPD("m must be positive definite")
-    return t, m, float(logdet)
-
-
-def t_density_log_ratio(t: np.ndarray, m: np.ndarray, n2: int) -> float:
-    """Log ratio of a d-dim sphere projection against its linear image.
-
-    With M symmetric positive definite, returns
-    ``0.5 ln det(M^{-1}) + ((n2 - d - 2)/2) ln((1 - ||t||^2)/(1 - t^T M t))``.
-    A rotated image is covered by folding the rotation into M. At d = 1
-    this reduces to scaled_projection_log_ratio with ratio = 1/sqrt(M).
-    """
-    t, m, logdet = _point_and_logdet(t, m)
-    return _sphere_log_ratio(-0.5 * logdet, float(t @ t), float(t @ m @ t), n2, t.size)
-
-
-def t_density_log_pdf(t: np.ndarray, m: np.ndarray, n2: int) -> float:
+def t_density_log_pdf(t: np.ndarray, m: np.ndarray, n2: int) -> np.ndarray:
     """Log density at t of a linear image of a sphere projection.
 
     The projection density of ProjectedSphereDensity(n2, d) is pushed
-    through an invertible map L with ``L L^T = M^{-1}`` (M = m, positive
-    definite), so a point t of the image comes from the projection point
-    L^{-1} t. Its log density is
+    through an invertible map L with ``L L^T = M^{-1}`` (M = m, symmetric
+    positive definite d x d), so a point t of the image comes from the
+    projection point L^{-1} t. Its log density is
     ``0.5 ln det M + ((n2-d)/2 - 1) ln(1 - t^T M t) - ln C(n2, d)``,
     sharing the projection normalizer C, and -inf where t^T M t >= 1.
-    Used by normalization spot-checks.
+    Points lie on the last axis of t, under any leading shape, and the
+    result has that leading shape; M is checked and factored once.
     """
-    t, m, logdet = _point_and_logdet(t, m)
-    quad = float(t @ m @ t)
-    base = ProjectedSphereDensity(n2, t.shape[0])
-    if quad >= 1.0:
-        return -math.inf
-    return 0.5 * logdet + base.exponent() * math.log1p(-quad) - base.log_norm
-
-
-def shift_log_ratio(t: np.ndarray, ell: np.ndarray, n2: int) -> float:
-    """Log ratio between a sphere projection density at t and at t - ell.
-
-    ``((n2 - d - 2)/2) ln((1 - ||t||^2) / (1 - ||t - ell||^2))``; this is
-    the density ratio cost of recentering the projection by ell.
-    """
-    t = np.asarray(t, dtype=float).reshape(-1)
-    ell = np.asarray(ell, dtype=float).reshape(-1)
-    if t.shape != ell.shape:
-        raise DimensionMismatch("t and ell must share a shape")
-    return _sphere_log_ratio(0.0, float(t @ t), float((t - ell) @ (t - ell)), n2, t.size)
+    t = np.asarray(t, dtype=float)
+    m = check_symmetric(m)
+    if t.ndim == 0 or t.shape[-1] != m.shape[0]:
+        raise DimensionMismatch(f"points need a last axis of {m.shape[0]}, got {t.shape}")
+    sign, logdet = np.linalg.slogdet(m)
+    if sign <= 0.0:
+        raise NotPD("m must be positive definite")
+    base = ProjectedSphereDensity(n2, m.shape[0])
+    return 0.5 * logdet + base.log_pdf_sq(np.sum((t @ m) * t, axis=-1))
 
 
 @dataclass(frozen=True)

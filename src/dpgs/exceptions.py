@@ -41,10 +41,6 @@ class NonFiniteInput(DpgsError, ValueError):
     """A dataset holds a NaN or infinite entry."""
 
 
-class OutOfSupport(DpgsError, ValueError):
-    """Density evaluation point lies outside the support."""
-
-
 class SupportMismatch(DpgsError, ValueError):
     """Discrete distributions are not defined on a common support."""
 

@@ -1,10 +1,12 @@
 """The public surface of the package, pinned.
 
-A change to ``dpgs.__all__`` must edit this list too, so adding, removing
-or renaming a public name is always a deliberate, reviewed step.
+A change to ``dpgs.__all__`` or to the public names of ``dpgs.divergences``
+must edit these lists too, so adding, removing or renaming a public name is
+always a deliberate, reviewed step.
 """
 
 import dpgs
+from dpgs import divergences
 
 PUBLIC = [
     "AuditReport",
@@ -55,3 +57,28 @@ def test_public_names_are_pinned():
 def test_every_public_name_resolves():
     for name in dpgs.__all__:
         assert getattr(dpgs, name) is not None
+
+
+# Names defined in dpgs.divergences without a leading underscore. Only tests
+# call gaussian_1d, uniform_1d and ProjectedSphereDensity.as_density1d.
+DIVERGENCES_PUBLIC = [
+    "Density1D",
+    "ProjectedSphereDensity",
+    "TvEstimate",
+    "gaussian_1d",
+    "hockey_stick_1d",
+    "hs_discrete",
+    "t_density_log_pdf",
+    "tv_histogram",
+    "uniform_1d",
+    "weak_triangle_check",
+]
+
+
+def test_divergences_public_names_are_pinned():
+    defined = [
+        name
+        for name, value in vars(divergences).items()
+        if not name.startswith("_") and getattr(value, "__module__", None) == divergences.__name__
+    ]
+    assert sorted(defined) == DIVERGENCES_PUBLIC

@@ -280,6 +280,26 @@ class TestDensityLemmas:
             assert 0.0 < rep.statistics[key] <= budget
         assert rep.trials >= 3000
 
+    @pytest.mark.parametrize("poison", [math.nan, math.inf])
+    def test_a_non_finite_grid_value_fails(self, monkeypatch, poison):
+        # the first call is the minuend of the first difference, so the
+        # poisoned point's log ratio is NaN or +inf: neither is under the cap
+        real = audit_mod.t_density_log_pdf
+        calls = []
+
+        def poisoned(t, m, n2):
+            out = np.array(real(t, m, n2))
+            if not calls:
+                out.flat[0] = poison
+            calls.append(1)
+            return out
+
+        monkeypatch.setattr(audit_mod, "t_density_log_pdf", poisoned)
+        rep = audit_density_lemmas(RngStream(7, 8))
+        assert rep.failures >= 1
+        assert rep.verdict == "fail"
+        assert rep.trials == 8030
+
 
 class TestMatrixBounds:
     def test_bounds_and_corollary(self):

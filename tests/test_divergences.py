@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,22 +11,20 @@ from dpgs.divergences import (
     gaussian_1d,
     hockey_stick_1d,
     hs_discrete,
-    scaled_projection_log_ratio,
-    shift_log_ratio,
     t_density_log_pdf,
-    t_density_log_ratio,
     tv_histogram,
     uniform_1d,
     weak_triangle_check,
 )
 from dpgs.exceptions import (
     DimensionMismatch,
-    OutOfSupport,
+    NotPD,
+    NotSymmetric,
     PreconditionViolated,
     QuadratureFailure,
     SupportMismatch,
 )
-from dpgs.randomness import RngStream
+from dpgs.randomness import RngStream, sphere_batch
 
 
 def gauss_hs_analytic(mu: float, eps: float) -> float:
@@ -251,12 +250,53 @@ def test_weak_triangle_on_random_triples():
         assert weak_triangle_check(p, q, r, e1, e2)
 
 
+# The projected-sphere log ratios the audit grids read, written out as
+# independent closed forms: sq_a and sq_b are the squared norms at which
+# the two laws are read, and every point must lie inside the unit ball.
+def _closed_form(const, sq_a, sq_b, n2, d):
+    return const + 0.5 * (n2 - d - 2) * (math.log1p(-sq_a) - math.log1p(-sq_b))
+
+
+def scaled_projection_ref(t, ratio, n2):
+    # the first sphere coordinate against its rescaling by ratio
+    return _closed_form(math.log(ratio), t * t, (t / ratio) ** 2, n2, 1)
+
+
+def linear_image_ref(t, m, n2):
+    # a d-dim projection against its image under L, L L^T = M^{-1}
+    return _closed_form(-0.5 * math.log(np.linalg.det(m)), t @ t, t @ m @ t, n2, t.size)
+
+
+def shift_ref(t, ell, n2):
+    # a d-dim projection at t against the same law at t - ell
+    return _closed_form(0.0, t @ t, (t - ell) @ (t - ell), n2, t.size)
+
+
+def scaled_ratio(t, ratio, n2):
+    one = np.array([t])
+    return t_density_log_pdf(one, np.eye(1), n2) - t_density_log_pdf(one, np.eye(1) / ratio**2, n2)
+
+
+def image_ratio(t, m, n2):
+    return t_density_log_pdf(t, np.eye(m.shape[0]), n2) - t_density_log_pdf(t, m, n2)
+
+
+def shift_ratio(t, ell, n2):
+    eye = np.eye(np.shape(t)[-1])
+    return t_density_log_pdf(t, eye, n2) - t_density_log_pdf(t - ell, eye, n2)
+
+
+def random_spd(gen, d, lo=0.6, hi=1.6):
+    q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    m = (q * gen.uniform(lo, hi, size=d)) @ q.T
+    return 0.5 * (m + m.T)
+
+
 def test_scaled_projection_value():
-    got = scaled_projection_log_ratio(0.5, 1.1, 5)
-    assert got == pytest.approx(0.039070461481448854, rel=1e-12)
-    assert scaled_projection_log_ratio(0.0, 1.1, 5) == pytest.approx(math.log(1.1))
-    with pytest.raises(OutOfSupport):
-        scaled_projection_log_ratio(1.05, 1.1, 5)
+    assert scaled_ratio(0.5, 1.1, 5) == pytest.approx(0.039070461481448854, rel=1e-12)
+    assert scaled_ratio(0.0, 1.1, 5) == pytest.approx(math.log(1.1))
+    # t outside the ball, t / ratio inside: the numerator law is zero there
+    assert scaled_ratio(1.05, 1.1, 5) == -math.inf
 
 
 def test_scaled_projection_consistency_with_densities():
@@ -264,33 +304,89 @@ def test_scaled_projection_consistency_with_densities():
     n2, r, t = 9, 1.07, 0.4
     dens = ProjectedSphereDensity(n2, 1)
     want = float(dens.log_pdf(np.array(t))) - float(dens.log_pdf(np.array(t / r))) + math.log(r)
-    assert scaled_projection_log_ratio(t, r, n2) == pytest.approx(want, rel=1e-12)
+    assert scaled_ratio(t, r, n2) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_log_ratios_match_their_closed_forms(d):
+    gen = np.random.default_rng(600 + d)
+    for n2 in (d + 1, d + 3, 40, 12_760):
+        m = random_spd(gen, d)
+        for _ in range(20):
+            # inside the ball under both laws of each ratio
+            t = sphere_batch(gen, d, 1)[0] * gen.uniform(0.0, 0.55)
+            ell = sphere_batch(gen, d, 1)[0] * gen.uniform(0.0, 0.3)
+            assert image_ratio(t, m, n2) == pytest.approx(
+                linear_image_ref(t, m, n2), rel=1e-12, abs=1e-12
+            )
+            assert shift_ratio(t, ell, n2) == pytest.approx(
+                shift_ref(t, ell, n2), rel=1e-12, abs=1e-12
+            )
+            if d == 1:
+                r = gen.uniform(0.8, 1.25)
+                assert scaled_ratio(t[0], r, n2) == pytest.approx(
+                    scaled_projection_ref(t[0], r, n2), rel=1e-12, abs=1e-12
+                )
 
 
 def test_t_density_reduces_to_scaled_projection():
     for t, mval, n2 in [(0.3, 0.7, 8), (-0.5, 1.4, 20), (0.1, 0.25, 6)]:
-        got = t_density_log_ratio(np.array([t]), np.array([[mval]]), n2)
-        want = scaled_projection_log_ratio(t, 1.0 / math.sqrt(mval), n2)
+        got = image_ratio(np.array([t]), np.array([[mval]]), n2)
+        want = scaled_projection_ref(t, 1.0 / math.sqrt(mval), n2)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_t_density_out_of_support():
-    with pytest.raises(OutOfSupport):
-        t_density_log_ratio(np.array([0.8, 0.7]), np.eye(2), 10)
+    assert t_density_log_pdf(np.array([0.8, 0.7]), np.eye(2), 10) == -math.inf
+    # batched, on the boundary and far outside, at exponents of both signs:
+    # -inf everywhere and no RuntimeWarning from the logarithm
+    pts = np.array([[0.8, 0.7], [1.0, 0.0], [0.0, -1.0], [3e5, 1e3], [-1e150, 2e150]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for n2 in (3, 4, 10):
+            assert np.all(t_density_log_pdf(pts, np.eye(2), n2) == -math.inf)
+            assert np.all(t_density_log_pdf(pts, np.diag([2.0, 1.5]), n2) == -math.inf)
 
 
 def test_log_ratios_share_the_law_domain_n2_above_d():
-    # ProjectedSphereDensity(n2, d) needs n2 > d; each log ratio refuses
-    # n2 = d and accepts n2 = d + 1
+    # ProjectedSphereDensity(n2, d) needs n2 > d; the law and each log
+    # ratio read off it refuse n2 = d and accept n2 = d + 1
     t2 = np.array([0.3, -0.2])
     for d, log_ratio in (
-        (1, lambda n2: scaled_projection_log_ratio(0.3, 1.1, n2)),
-        (2, lambda n2: t_density_log_ratio(t2, 1.2 * np.eye(2), n2)),
-        (2, lambda n2: shift_log_ratio(t2, np.array([0.05, 0.0]), n2)),
+        (1, lambda n2: scaled_ratio(0.3, 1.1, n2)),
+        (2, lambda n2: image_ratio(t2, 1.2 * np.eye(2), n2)),
+        (2, lambda n2: shift_ratio(t2, np.array([0.05, 0.0]), n2)),
+        (3, lambda n2: t_density_log_pdf(np.full(3, 0.2), np.eye(3), n2)),
+        (5, lambda n2: t_density_log_pdf(np.full(5, 0.2), np.eye(5), n2)),
     ):
         assert math.isfinite(log_ratio(d + 1))
         with pytest.raises(PreconditionViolated):
             log_ratio(d)
+
+
+def test_t_density_batched_matches_pointwise():
+    gen = np.random.default_rng(46)
+    m = random_spd(gen, 3)
+    # radii up to 1.3 put about a third of the points outside the ball
+    pts = sphere_batch(gen, 3, 200) * gen.uniform(0.0, 1.3, size=(200, 1))
+    batched = t_density_log_pdf(pts.reshape(4, 50, 3), m, 30)
+    assert batched.shape == (4, 50)
+    single = np.array([t_density_log_pdf(t, m, 30) for t in pts]).reshape(4, 50)
+    outside = single == -math.inf
+    assert 0 < outside.sum() < outside.size
+    np.testing.assert_array_equal(batched == -math.inf, outside)
+    np.testing.assert_allclose(batched[~outside], single[~outside], rtol=1e-12, atol=0.0)
+
+
+def test_t_density_checks_its_matrix_and_points():
+    with pytest.raises(DimensionMismatch):
+        t_density_log_pdf(np.zeros((4, 3)), np.eye(2), 10)
+    with pytest.raises(DimensionMismatch):
+        t_density_log_pdf(np.float64(0.1), np.eye(1), 10)
+    with pytest.raises(NotPD):
+        t_density_log_pdf(np.zeros(2), np.diag([1.0, -1.0]), 10)
+    with pytest.raises(NotSymmetric):
+        t_density_log_pdf(np.zeros(2), np.array([[1.0, 0.1], [0.0, 1.0]]), 10)
 
 
 def test_t_density_pdf_normalizes():
@@ -302,34 +398,38 @@ def test_t_density_pdf_normalizes():
     rng = np.random.default_rng(45)
     box = 1.2
     pts = rng.uniform(-box, box, size=(400_000, 2))
-    # vectorized evaluation: quad form against m
-    quad = np.einsum("ij,jk,ik->i", pts, m, pts)
-    base = ProjectedSphereDensity(n2, 2)
-    sign, logdet = np.linalg.slogdet(m)
-    inside = quad < 1.0
-    dens = np.zeros(len(pts))
-    dens[inside] = np.exp(
-        0.5 * logdet + base.exponent() * np.log1p(-quad[inside]) - base.log_norm
-    )
-    est = dens.mean() * (2 * box) ** 2
+    est = np.exp(t_density_log_pdf(pts, m, n2)).mean() * (2 * box) ** 2
     assert est == pytest.approx(1.0, abs=0.02)
-    # spot check the scalar helper against the vectorized formula
-    p0 = np.array([0.2, -0.4])
-    assert t_density_log_pdf(p0, m, n2) == pytest.approx(
-        0.5 * logdet + base.exponent() * math.log1p(-float(p0 @ m @ p0)) - base.log_norm
-    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_t_density_matches_the_samplers_draws(d):
+    # The sampler's release noise: y = L z[:d], z uniform on S^{n2-1} from
+    # sphere_batch, L L^T = M1^{-1}. If f(.; M1) is the law of y, the
+    # importance weights f(y; M2) / f(y; M1) average to 1; M2 >= M1 keeps
+    # the support of f(.; M2) inside that of f(.; M1).
+    n2, count = 20, 100_000
+    gen = RngStream(47, d).generator()
+    m1 = random_spd(gen, d)
+    m2 = m1 + random_spd(gen, d, 0.0, 0.8)
+    chol = np.linalg.cholesky(np.linalg.inv(m1))
+    y = sphere_batch(gen, n2, count)[:, :d] @ chol.T
+    w = np.exp(t_density_log_pdf(y, m2, n2) - t_density_log_pdf(y, m1, n2))
+    se = w.std(ddof=1) / math.sqrt(count)
+    assert se > 1e-4  # the two laws differ enough for the test to see
+    assert abs(w.mean() - 1.0) <= 5.0 * se
 
 
 def test_shift_log_ratio_properties():
     t = np.array([0.2, -0.1])
     zero = np.zeros(2)
-    assert shift_log_ratio(t, zero, 10) == 0.0
+    assert shift_ratio(t, zero, 10) == 0.0
     ell = np.array([0.05, 0.02])
-    fwd = shift_log_ratio(t, ell, 10)
-    bwd = shift_log_ratio(t - ell, -ell, 10)
+    fwd = shift_ratio(t, ell, 10)
+    bwd = shift_ratio(t - ell, -ell, 10)
     assert fwd == pytest.approx(-bwd, rel=1e-12)
-    with pytest.raises(OutOfSupport):
-        shift_log_ratio(np.array([1.2]), np.array([0.0]), 10)
+    # t outside the ball, t - ell inside
+    assert shift_ratio(np.array([1.2]), np.array([0.5]), 10) == -math.inf
 
 
 def test_tv_histogram_identical_samples():
