@@ -229,8 +229,8 @@ CHECK_GOLDEN = {
     ("mean_stability", "strict"): "8f0110f687e627d5de36ba5133bc42db63376b8edecaaa5da268fe9c0b754280",
     ("utility_events", "relaxed"): "7abc97eb9abd9b9cd1db5688ddbb50e42932ed99d0b0d7a47f6a8586f420a661",
     ("utility_events", "strict"): "2f3c8e34176fd3b8ce9e9456e1b4f9c7f05231ac0f0d7ce7e2daf281d31662ef",
-    ("density_lemmas", "relaxed"): "017ad6a4412726f334a28b5c99df81f35edf04ca2135d0178d041aeda4a620cb",
-    ("density_lemmas", "strict"): "446d95a0004f05a8399ded35802ff143cf652f84fefad23f64f0fc66857f783c",
+    ("density_lemmas", "relaxed"): "a63dae89f725c256201ff191d38ac83d85ab16e014a8e3b7986266efd75d8210",
+    ("density_lemmas", "strict"): "8422c1f9c588e927334c00f24e2224a7dbcc29420abfb42e6270d0f3a06d3b81",
     ("matrix_bounds", "relaxed"): "c6e05632ae4a727178dc1937c2fa08e5676025af08d2456032a9804a836b5ed0",
     ("matrix_bounds", "strict"): "8b3acaad7311cb102df1c924875a2402d6fd195563417d08439c900bfd7a6171",
     ("tail_facts", "relaxed"): "5d8f36927c857060e5acb28c82f383c7fce2d607b38816d4025cf92206d3d7ee",
