@@ -137,11 +137,11 @@ class ProjectedSphereDensity:
         return self.log_pdf_sq(sq)
 
     def log_pdf_sq(self, sq: np.ndarray) -> np.ndarray:
-        """log_pdf at points of squared norm sq, -inf from sq >= 1 on."""
+        """log_pdf at points of squared norm sq, -inf from sq >= 1 on; NaN stays NaN."""
         sq = np.asarray(sq, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             val = self.exponent() * np.log1p(-sq) - self.log_norm
-        return np.where(sq < 1.0, val, -np.inf)
+        return np.where(sq >= 1.0, -np.inf, val)
 
     def as_density1d(self) -> Density1D:
         if self.i != 1:

@@ -69,11 +69,14 @@ def subset_indices(gen: np.random.Generator, n: int, m: int) -> np.ndarray:
     """Sorted array of m distinct indices drawn uniformly from range(n).
 
     Exact-uniform over all size-m subsets (partial Fisher-Yates underneath).
-    Indices are 0-based.
+    Indices are 0-based. A subset is drawn only when m < n: at m == n the
+    answer is the only size-n subset, ``arange(n)``, and gen is not touched.
     """
     if n < 0 or m < 0:
         raise PreconditionViolated("n and m must be nonnegative")
     if m > n:
         raise SubsetTooLarge(f"cannot draw {m} distinct indices from {n}")
+    if m == n:
+        return np.arange(n, dtype=np.int64)
     picked = gen.choice(n, size=m, replace=False)
     return np.sort(picked.astype(np.int64))

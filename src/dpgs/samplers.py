@@ -10,6 +10,9 @@ validates its input, splits it into blocks and supplies its release noise.
 Every pipeline consumes its RngStream through a single generator in a fixed
 order (reference subset, gate noise, then output randomness), so running
 two adjacent datasets under the same stream couples those choices exactly.
+The subset is drawn only when ``ref_size`` is below the mean block's row
+count; at ``ref_size == n1`` (every default plan) it is the whole block and
+the gate noise is the stream's first draw.
 """
 
 from __future__ import annotations

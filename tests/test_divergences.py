@@ -338,6 +338,8 @@ def test_t_density_reduces_to_scaled_projection():
 
 def test_t_density_out_of_support():
     assert t_density_log_pdf(np.array([0.8, 0.7]), np.eye(2), 10) == -math.inf
+    # a NaN point is no point of the law, not a point outside its support
+    assert math.isnan(t_density_log_pdf(np.array([math.nan, 0.1]), np.eye(2), 10))
     # batched, on the boundary and far outside, at exponents of both signs:
     # -inf everywhere and no RuntimeWarning from the logarithm
     pts = np.array([[0.8, 0.7], [1.0, 0.0], [0.0, -1.0], [3e5, 1e3], [-1e150, 2e150]])

@@ -69,7 +69,16 @@ def test_uniform_subset_sorted_distinct_in_range():
 
 
 def test_uniform_subset_full_set():
-    assert np.array_equal(subset_indices(RngStream(1, 1).generator(), 3, 3), np.arange(3))
+    # m == n has one answer, so it is returned without a draw; m < n draws
+    gen = RngStream(1, 1).generator()
+    before = gen.bit_generator.state
+    for n in (0, 1, 3, 428):
+        full = subset_indices(gen, n, n)
+        assert full.dtype == np.int64
+        assert np.array_equal(full, np.arange(n))
+    assert gen.bit_generator.state == before
+    subset_indices(gen, 3, 2)
+    assert gen.bit_generator.state != before
 
 
 def test_uniform_subset_too_large():

@@ -15,8 +15,8 @@ from dpgs.exceptions import (
     SubsetTooLarge,
 )
 from dpgs.linalg import sym_sqrt
-from dpgs.privacy import PrivacyParams, PtrOutcome, plan
-from dpgs.randomness import RngStream
+from dpgs.privacy import Gate, PrivacyParams, PtrOutcome, plan, truncated_laplace
+from dpgs.randomness import RngStream, sphere_point
 from dpgs.samplers import cov_aware_mean, sample_known_cov, sample_unbounded
 
 PLAN = plan(0.2, PrivacyParams(1.0, 0.05), 1)
@@ -94,6 +94,37 @@ def test_unbounded_deterministic_replay():
     r2, t2 = sample_unbounded(x, PLAN, RngStream(7, 1))
     assert np.array_equal(r1.value, r2.value)
     assert t1.to_dict() == t2.to_dict()
+
+
+def test_full_reference_set_draws_gate_noise_first():
+    # At ref_size == n1 the reference set is the whole mean block and takes
+    # no draw: the gate's truncated Laplace is the stream's first draw and
+    # the release noise its next ones.
+    assert PLAN.ref_size == PLAN.n1
+    gen = np.random.default_rng(102)
+    x = gaussian_data(gen, PLAN.n, [3.0], [[math.sqrt(2.0)]])
+    known = gaussian_data(gen, PLAN.n1, [3.0], [[1.0]])
+    gate = Gate.of(PLAN.params)
+    cfg = EstimatorConfig(PLAN.lambda0, PLAN.k)
+    scale = math.sqrt((1.0 - 1.0 / PLAN.n1) * PLAN.n2)
+    cases = (
+        (sample_unbounded, x, x[: PLAN.n1], x[PLAN.n1 :],
+         lambda g, est: scale * (est.cov.w_matrix @ sphere_point(g, PLAN.n2))),
+        (sample_known_cov, known, known, None,
+         lambda g, est: math.sqrt(1.0 - 1.0 / PLAN.n1) * g.standard_normal(PLAN.d)),
+    )
+    for run, data, mean_block, cov_block, noise in cases:
+        for seed in range(3):
+            rng = RngStream(seed, 4)
+            result, trace = run(data, PLAN, rng)
+            assert np.array_equal(trace.reference_set, np.arange(PLAN.n1))
+            est = samplers.estimate(mean_block, cov_block, cfg, np.arange(PLAN.n1))
+            g = rng.generator()
+            eta = truncated_laplace(g, gate.scale, gate.threshold)
+            passed = est.score + eta < gate.threshold
+            assert trace.ptr is (PtrOutcome.PASS if passed else PtrOutcome.FAIL)
+            assert passed and not result.failed
+            assert result.value.tobytes() == (est.mu_hat + noise(g, est)).tobytes()
 
 
 def test_release_does_not_depend_on_memory_layout():
