@@ -100,14 +100,14 @@ def pipeline_runs(x, known, sp):
 
 GOLDEN = {
     "clean-d1": {
-        "sample": "46412d107b91486ea187dc1520e9020950bdbf2c28c9687df3244e4c11a50c86",
+        "sample": "15400f52950874ccf105c8b13df3e831b4ff14b2834f98c578c19b47a7cd8a52",
         "mean": "5e8940c6096984a2343c9dcd531423a08ee8964991819554fca0ecfc815e0115",
-        "known_cov": "790ac95edcaf126712ce40ecc04397fc94119134cb7db1fdc98607a123b1659a",
+        "known_cov": "7cfe24a1b99e6c08a509a875b69e0e6cdc4a3200ed593a8fe4708dbc4625b3ec",
     },
     "contaminated-d20": {
-        "sample": "a1c2ad08fb0a59f6905d85e30a9c5cde38840108d2e4f4e2a2e409e64ec44056",
+        "sample": "65fbde9f233a559adb94c89679e718f1359f550695d45647abd1bd8b4f0d92ca",
         "mean": "c1ccaee70a7399a8c0f7334f1f4e30c97f5c7be27ab32c4664191446408c1cab",
-        "known_cov": "976e65216d59f11ed663ffb361de6a67522ae5aba123c2d8557084d457a95f7b",
+        "known_cov": "a48aebda23588026d09232028ba2b9812b7ae6619e200162282693f76f255cd0",
     },
 }
 
@@ -119,7 +119,7 @@ TRACE_GOLDEN = {
         "known_cov": "7c616d564ff8d1bf5c9a9950f0d8270a4469c9cbbabc3e3a89928018efc43cb8",
     },
     "contaminated-d20": {
-        "sample": "692ac085a336f738669db7712cce8ef121cbda4351d29d235f6ca84b70d9fa6b",
+        "sample": "adfcaa205bdc951add68574cb9ed3c45222751a7b84fcc398676cf89cb53803d",
         "mean": "e508fad4276535f1dae86accbd8fb5358eaa8bc412451b342dd7d8d240ee9470",
         "known_cov": "75d96b1f424a5564be1b576664ec242ffabdfafb63211bf459e54e09473cf097",
     },
@@ -153,12 +153,12 @@ def test_pipeline_traces_match_golden(name, d, make):
 CORPUS_DATASETS = 100
 CORPUS_OFFSET = 1.0e9
 CORPUS_GOLDEN = {
-    (1, "clean"): "7df969858c24c24b0fed71f61e8fab0703bfc6617208919418b03b865904ae3e",
-    (1, "far"): "c8655b8c0adb20b0be550ab2ff2e39d06001022471e7017709ab2f148a49970f",
-    (5, "clean"): "4e4d8b9dbba70c07961f0f47952725ec9317891ac80c333b45fda3b680954ed8",
-    (5, "far"): "e12807e06af15750d076135bc6657404aba93b624b3015cc2328179319ed0c44",
-    (20, "clean"): "a38f80e543a8efa7881ee07f7254d341b0d59ffa13d15bf99e14b3cf734a1d05",
-    (20, "far"): "3138800d47a6987f9fce1dd3d5985f0da039c09aa9a9d2d87d49c74688b75027",
+    (1, "clean"): "542ff36d1ac213fda03347c7cb7fe33a9a648f5d0692807db3e3356b7d869c98",
+    (1, "far"): "3a0090fd01da5074a041882da4ea1c0b0f750ae71603c8f96a9d6ddf4f46efb1",
+    (5, "clean"): "44eaba8a47db596f8326d94c3089fadc7fe404a8262829bf4301cc3a7b89c169",
+    (5, "far"): "37027e1b83cbe922f2b12a87f517b38cd0a7b1d56d4e4bb43ee1540e3fa0dbae",
+    (20, "clean"): "cf945c68d3b351cdfb5f9027124eeb79147d38a7e78c22b243433f98666145b1",
+    (20, "far"): "7b3b495e1a053f5834affb60d46a672d3e09fc69c81df419582aea0c4c8ed0cc",
 }
 
 
@@ -199,7 +199,7 @@ def test_corpus_matches_golden(d, kind):
 
 
 AUDIT_TRIALS = {"score_sensitivity": 24, "mean_stability": 12, "end_to_end": 60}
-AUDIT_GOLDEN = "5911abda997e7083d3dfb619048f89c7a7dfdfeb32aa16d75f2fefb97ff0972a"
+AUDIT_GOLDEN = "82f0a66af4629ea51c8477be1e4bc98133fa8fb8b69051242c2c64d23451866c"
 
 
 def test_audit_reports_match_golden():
@@ -235,8 +235,8 @@ CHECK_GOLDEN = {
     ("matrix_bounds", "strict"): "8b3acaad7311cb102df1c924875a2402d6fd195563417d08439c900bfd7a6171",
     ("tail_facts", "relaxed"): "5d8f36927c857060e5acb28c82f383c7fce2d607b38816d4025cf92206d3d7ee",
     ("tail_facts", "strict"): "86d6de23590e3715f18bc2731f5c4f82493d8dac50683283c67717090c98b710",
-    ("end_to_end", "relaxed"): "da22186083396c0b88259d8a0caa697d0920aed7f59d5041174e4dd4cb686def",
-    ("end_to_end", "strict"): "bdf2b2d25477fc97173d5930538c4f737c6da5ce709a812d1b26c12e200101de",
+    ("end_to_end", "relaxed"): "959639ccbe3e449a4cbba0bac8aa393e5d71b5449405b71a81187b13ef79eeb8",
+    ("end_to_end", "strict"): "7c395b298ce033f1db42d032f06fb62b9bd096033e3a1ab61ce6dd8eedc884c3",
 }
 
 
