@@ -260,7 +260,8 @@ _CERT_FLOOR = 1e-280
 
 
 def neighbor_counts(
-    x: np.ndarray, ref: np.ndarray, sigma: np.ndarray, lam: float
+    x: np.ndarray, ref: np.ndarray, sigma: np.ndarray, lam: float,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Per row of x, the number of ref rows with ``||x_i - ref_j||^2_sigma <= lam``.
 
@@ -288,10 +289,14 @@ def neighbor_counts(
     arrays.
 
     sigma must be PSD (NotPD otherwise); at d = 1 its decomposition is
-    _eigh's closed form, with eigh's bytes. A singular or zero sigma uses
-    the pseudoinverse-limit convention of linalg.range_mask: differences
-    outside range(sigma) get +inf while differences inside it (in
-    particular exact ties) use sigma^+, all from the dense matrices.
+    _eigh's closed form, with eigh's bytes. eig, if given, must be
+    ``_eigh(sigma)``: the rows are whitened with it and sigma is not
+    decomposed again, so a caller that needs the decomposition too (the
+    release root of samplers.cov_aware_mean) takes it once. A singular or
+    zero sigma uses the pseudoinverse-limit convention of
+    linalg.range_mask: differences outside range(sigma) get +inf while
+    differences inside it (in particular exact ties) use sigma^+, all from
+    the dense matrices.
     """
     sigma = check_symmetric(sigma)
     d = sigma.shape[0]
@@ -300,7 +305,7 @@ def neighbor_counts(
     if _is_identity(sigma):
         xk, rk, full_range = x, ref, True
     else:
-        w, u = _eigh(sigma)
+        w, u = _eigh(sigma) if eig is None else eig
         keep = range_mask(w)
         full_range = keep.all()
         u_keep, root = u[:, keep], np.sqrt(w[keep])
@@ -434,7 +439,7 @@ def _check_reference(r: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
     r = np.asarray(r, dtype=np.int64).reshape(-1)
     if r.size == 0:
         raise EmptyReferenceSet("reference set is empty")
-    if r[0] >= 0 and r[-1] < n and np.all(r[1:] > r[:-1]):
+    if r[0] >= 0 and r[-1] < n and (r[1:] > r[:-1]).all():
         return r, r.size == n  # strictly increasing, so in range and distinct
     if np.any(r < 0) or np.any(r >= n):
         raise PreconditionViolated("reference indices out of range")
@@ -448,6 +453,7 @@ def stable_mean(
     sigma_hat: np.ndarray,
     cfg: EstimatorConfig,
     r: np.ndarray,
+    eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> WeightVectorOutput:
     """Replacement-stable weight vector for a mean estimate.
 
@@ -464,7 +470,8 @@ def stable_mean(
     whitened units that the dense rounding error itself could reach the
     radius (see _certified_counts): for a block that is its own reference
     set, a whitened offset of about 5e5 times the radius's square root. A
-    sigma_hat that is not PSD raises NotPD before any count.
+    sigma_hat that is not PSD raises NotPD before any count. eig, if given,
+    is ``_eigh(sigma_hat)`` and is passed on to neighbor_counts.
 
     x is made C-contiguous first, so the counts do not depend on its
     memory layout. When r is arange(n), x itself is the reference, so
@@ -487,7 +494,7 @@ def stable_mean(
             RuntimeWarning,
             stacklevel=2,
         )
-    nbrs = neighbor_counts(x, x if whole else x[r], sigma_hat, math.e**2 * cfg.lambda0)
+    nbrs = neighbor_counts(x, x if whole else x[r], sigma_hat, math.e**2 * cfg.lambda0, eig)
     counts, score = _ladder_counts_and_score(r.size - nbrs, k)
     total = int(counts.sum())
     weights = counts / total if total > 0 else np.zeros(n)

@@ -49,7 +49,7 @@ def check_symmetric(a: np.ndarray) -> np.ndarray:
     a = _as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise NotSymmetric(f"matrix of shape {a.shape} is not square")
-    if np.array_equal(a, a.T):
+    if (a == a.T).all():  # np.array_equal(a, a.T) for a square a
         return a
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if not np.isfinite(scale):
@@ -114,20 +114,25 @@ def mahalanobis_sq(v: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(coords[keep] ** 2 / w[keep]))
 
 
-def sym_sqrt(a: np.ndarray) -> np.ndarray:
+def sym_sqrt(
+    a: np.ndarray, eig: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Symmetric PSD square root. Tiny negative eigenvalues clip to 0.
 
     Eigenpairs are summed largest first; the release bytes depend on it.
-    A 1 x 1 matrix takes the closed form: for N = 1 LAPACK's dsyevd returns
-    the entry itself with eigenvector 1 and no arithmetic, so the eigen
-    route reduces to the clipped entry's square root, with the same bytes.
+    eig, if given, must be ``np.linalg.eigh(a)``'s output (w ascending, u);
+    the root is then built from it without decomposing a again, with the
+    same bytes. A 1 x 1 matrix takes the closed form and ignores eig: for
+    N = 1 LAPACK's dsyevd returns the entry itself with eigenvector 1 and no
+    arithmetic, so the eigen route reduces to the clipped entry's square
+    root, with the same bytes.
     """
     a = check_symmetric(a)
     if a.shape[0] == 1:
-        return np.sqrt(np.clip(a, 0.0, None))
-    w, u = np.linalg.eigh(a)
+        return np.sqrt(np.maximum(a, 0.0))
+    w, u = np.linalg.eigh(a) if eig is None else eig
     order = np.argsort(w)[::-1]
-    w, u = np.clip(w[order], 0.0, None), u[:, order]
+    w, u = np.maximum(w[order], 0.0), u[:, order]
     return (u * np.sqrt(w)) @ u.T
 
 

@@ -11,6 +11,7 @@ helpers below take the open generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ def sphere_point(gen: np.random.Generator, n: int) -> np.ndarray:
         raise PreconditionViolated("n must be >= 1")
     while True:
         g = gen.standard_normal(n)
-        norm = np.linalg.norm(g)
+        norm = math.sqrt(g @ g)  # np.linalg.norm's own computation for a 1-d array
         if norm > 0.0:  # resample on the measure-zero zero draw
             return g / norm
 

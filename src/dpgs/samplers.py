@@ -23,6 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from . import estimators
 from .estimators import (
     EstimatorConfig, WeightedCovOutput, WeightVectorOutput, stable_cov, stable_mean,
 )
@@ -62,21 +63,10 @@ class RunTrace:
     reference_set: np.ndarray
     sizes: dict[str, Any]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "score_cov": self.score_cov,
-            "score_mean": self.score_mean,
-            "ptr": self.ptr.value,
-            "cov_uniform": self.cov_uniform,
-            "mean_uniform": self.mean_uniform,
-            "reference_set": [int(i) for i in self.reference_set],
-            "sizes": dict(self.sizes),
-        }
-
 
 def ptr_check(score: float, gate: Gate, gen: np.random.Generator) -> PtrOutcome:
     """gate's noisy threshold test on a sensitivity-2 score: one ``gen.random()`` draw."""
-    if not np.isfinite(score) or score < 0.0:
+    if not math.isfinite(score) or score < 0.0:
         raise PreconditionViolated(f"score must be finite and >= 0, got {score}")
     threshold = gate.threshold
     eta = truncated_laplace(gen, gate.scale, threshold)
@@ -86,12 +76,19 @@ def ptr_check(score: float, gate: Gate, gen: np.random.Generator) -> PtrOutcome:
 @dataclass(frozen=True)
 class Estimate:
     """Both estimator outputs on one dataset and reference set, and the score
-    the gate tests. cov is None on the known-covariance path (sigma_hat = I)."""
+    the gate tests. cov is None on the known-covariance path (sigma_hat = I).
+
+    eig is sigma_hat's one eigendecomposition ``estimators._eigh(sigma_hat)``
+    (w ascending, u), taken once per call: stable_mean whitens with it and
+    cov_aware_mean builds its release root from it. It is None on the
+    known-covariance path, whose identity is never decomposed.
+    """
 
     cov: WeightedCovOutput | None
     mean: WeightVectorOutput
     sigma_hat: np.ndarray
     mu_hat: np.ndarray
+    eig: tuple[np.ndarray, np.ndarray] | None
 
     @property
     def score(self) -> int:
@@ -104,12 +101,13 @@ def estimate(
     """``stable_cov`` on cov_block (None: the identity covariance), then
     ``stable_mean`` on mean_block in its metric at reference rows ref. Draws nothing."""
     if cov_block is None:
-        cov_out, sigma_hat = None, np.eye(mean_block.shape[1])
+        cov_out, sigma_hat, eig = None, np.eye(mean_block.shape[1]), None
     else:
         cov_out = stable_cov(cov_block, cfg)
         sigma_hat = cov_out.covariance()
-    mean_out = stable_mean(mean_block, sigma_hat, cfg, ref)
-    return Estimate(cov_out, mean_out, sigma_hat, mean_out.weights @ mean_block)
+        eig = estimators._eigh(sigma_hat)
+    mean_out = stable_mean(mean_block, sigma_hat, cfg, ref, eig)
+    return Estimate(cov_out, mean_out, sigma_hat, mean_out.weights @ mean_block, eig)
 
 
 def _run(
@@ -211,7 +209,7 @@ def cov_aware_mean(
     c = math.sqrt(c_sq)
     return _run(
         mean_block, cov_block, cfg, gate, m_ref, sizes,
-        lambda gen, est: c * (sym_sqrt(est.sigma_hat) @ gen.standard_normal(x.shape[1])),
+        lambda gen, est: c * (sym_sqrt(est.sigma_hat, est.eig) @ gen.standard_normal(x.shape[1])),
         rng,
     )
 

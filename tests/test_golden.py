@@ -39,6 +39,7 @@ from dpgs.samplers import (
     sample_known_cov,
     sample_unbounded,
 )
+from trace_json import trace_dict
 
 PARAMS = PrivacyParams(1.0, 0.05)
 STREAM_SEEDS = range(4)
@@ -84,7 +85,7 @@ def release_digest(runs):
 def trace_digest(runs):
     h = hashlib.sha256()
     for _, trace in runs:
-        h.update(json.dumps(trace.to_dict(), sort_keys=True).encode())
+        h.update(json.dumps(trace_dict(trace), sort_keys=True).encode())
     return h.hexdigest()
 
 
@@ -194,7 +195,7 @@ def test_corpus_matches_golden(d, kind):
         for result, trace in runs:
             value = b"fail" if result.failed else np.asarray(result.value, dtype="<f8").tobytes()
             h.update(value)
-            h.update(json.dumps(trace.to_dict(), sort_keys=True).encode())
+            h.update(json.dumps(trace_dict(trace), sort_keys=True).encode())
     assert h.hexdigest() == CORPUS_GOLDEN[(d, kind)]
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dpgs import estimators
 from dpgs.exceptions import DimensionMismatch, NotPD, NotSymmetric
 from dpgs.linalg import (
     check_symmetric,
@@ -195,6 +196,30 @@ def test_sym_sqrt_roundtrip():
 
 def test_sym_sqrt_of_zero_is_zero():
     assert np.all(sym_sqrt(np.zeros((3, 3))) == 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 20])
+def test_sym_sqrt_from_a_supplied_decomposition_is_bitwise_its_own(d):
+    # cov_aware_mean builds its release root from the decomposition that
+    # stable_mean whitened with (estimators._eigh); the root must have the
+    # bytes of sym_sqrt's own eigen route, clipped eigenvalues included.
+    rng = np.random.default_rng(100 + d)
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    low = rng.standard_normal((d, max(d // 2, 1)))
+    w = np.logspace(0.0, 3.0, d)
+    w[0] = -1e-15
+    tiny_negative = (q * w) @ q.T
+    cases = {
+        "psd": random_spd(rng, d),
+        "rank_deficient": low @ low.T if d > 1 else np.zeros((1, 1)),
+        "tiny_negative": (tiny_negative + tiny_negative.T) / 2.0,
+    }
+    for name, a in cases.items():
+        eig = estimators._eigh(a)
+        if name == "tiny_negative":
+            assert eig[0][0] < 0.0
+        got, want = sym_sqrt(a, eig), sym_sqrt(a)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_sym_inv_sqrt_rejects_singular():

@@ -261,10 +261,25 @@ def test_truncated_laplace_bounds_and_symmetry():
 
 
 def test_truncated_laplace_scalar_mode():
-    gen = np.random.default_rng(32)
-    x = truncated_laplace(gen, 1.0, 3.0)
-    assert np.isscalar(x) or np.ndim(x) == 0
-    assert -3.0 <= float(x) < 3.0
+    # The gate's scalar draw is plain float arithmetic; its bytes must be
+    # those of the array form, draw for draw, off one seeded stream. The
+    # pairs: the default gate's; then radius / scale a subnormal of a few
+    # ulps, where the coarse q pushes raw draws past both ends, so both
+    # clamps bind.
+    n = 100_000
+    gate = Gate.of(PrivacyParams(1.0, 0.05))
+    for scale, radius in ((1.0, 3.0), (gate.scale, gate.threshold), (1e300, 1.02e-22)):
+        want = truncated_laplace(np.random.default_rng(32), scale, radius, size=n)
+        gen = np.random.default_rng(32)
+        got = [truncated_laplace(gen, scale, radius) for _ in range(n)]
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == want.tobytes(), (scale, radius)
+        top = math.nextafter(radius, -math.inf)
+        assert -radius <= min(got) and max(got) <= top
+    s = np.random.default_rng(32).random(n) - 0.5
+    raw = -np.sign(s) * scale * np.log1p(-2.0 * np.abs(s) * -math.expm1(-radius / scale))
+    assert (raw >= radius).sum() > 100 and (raw < -radius).sum() > 100
+    assert got.count(top) > 100 and got.count(-radius) > 100
 
 
 def test_truncated_laplace_tail_mass_matches():

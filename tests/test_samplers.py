@@ -18,6 +18,7 @@ from dpgs.linalg import sym_sqrt
 from dpgs.privacy import Gate, PrivacyParams, PtrOutcome, plan, truncated_laplace
 from dpgs.randomness import RngStream, sphere_point
 from dpgs.samplers import cov_aware_mean, sample_known_cov, sample_unbounded
+from trace_json import trace_dict
 
 PLAN = plan(0.2, PrivacyParams(1.0, 0.05), 1)
 PLAN2 = plan(0.2, PrivacyParams(1.0, 0.05), 2)
@@ -93,7 +94,7 @@ def test_unbounded_deterministic_replay():
     r1, t1 = sample_unbounded(x, PLAN, RngStream(7, 1))
     r2, t2 = sample_unbounded(x, PLAN, RngStream(7, 1))
     assert np.array_equal(r1.value, r2.value)
-    assert t1.to_dict() == t2.to_dict()
+    assert trace_dict(t1) == trace_dict(t2)
 
 
 def test_full_reference_set_draws_gate_noise_first():
@@ -383,8 +384,9 @@ def test_cov_aware_mean_reference_floor():
         cov_aware_mean(x, PrivacyParams(1.0, 0.05), 10.0, RngStream(0))
 
 
-def _eigh_route_sym_sqrt(a):
-    # linalg.sym_sqrt's eigen route, the reference for its 1 x 1 closed form
+def _eigh_route_sym_sqrt(a, eig=None):
+    # linalg.sym_sqrt's eigen route, the reference for its 1 x 1 closed form;
+    # it decomposes a itself and ignores a supplied decomposition
     w, u = np.linalg.eigh(a)
     order = np.argsort(w)[::-1]
     w, u = np.clip(w[order], 0.0, None), u[:, order]
@@ -407,6 +409,27 @@ def test_one_by_one_closed_forms_match_lapack_bitwise():
         got, want = sym_sqrt(a), _eigh_route_sym_sqrt(a)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), v
     assert np.signbit(estimators._eigh(np.array([[-0.0]]))[0][0])
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("far_cov_row", [False, True])
+def test_cov_aware_mean_decomposes_sigma_hat_once(monkeypatch, d, far_cov_row):
+    # stable_mean's whitening and the release root share one eigh of
+    # sigma_hat, so a passing call makes the covariance ladder's eigh calls
+    # and one more, counted on numpy itself whichever module calls it.
+    sp = plan(0.2, PrivacyParams(1.0, 0.05), d)
+    x = 3.0 + np.random.default_rng(2024).standard_normal((sp.n, d))
+    if far_cov_row:  # the ladder prunes, so it takes more than one eigh
+        x[sp.n1, 0] = 1e6
+    cfg = EstimatorConfig(sp.lambda0, math.ceil(Gate.of(sp.params).fail_score))
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    estimators.stable_cov(x[sp.n1 :], cfg)
+    ladder, calls[:] = len(calls), []
+    res, trace = cov_aware_mean(x, sp.params, sp.lambda0, RngStream(1, 1), split_n1=sp.n1)
+    assert trace.sizes["k"] == cfg.k and not res.failed
+    assert ladder >= 2 if far_cov_row else ladder == 1
+    assert calls == [(d, d)] * (ladder + 1)
 
 
 def _d1_case(kind, gen):
