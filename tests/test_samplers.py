@@ -425,7 +425,8 @@ def test_cov_aware_mean_decomposes_sigma_hat_once(monkeypatch, d, far_cov_row):
     eigh, calls = np.linalg.eigh, []
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
     estimators.stable_cov(x[sp.n1 :], cfg)
-    ladder, calls[:] = len(calls), []
+    ladder = len(calls)
+    calls.clear()
     res, trace = cov_aware_mean(x, sp.params, sp.lambda0, RngStream(1, 1), split_n1=sp.n1)
     assert trace.sizes["k"] == cfg.k and not res.failed
     assert ladder >= 2 if far_cov_row else ladder == 1
