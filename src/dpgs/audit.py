@@ -35,6 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import samplers
 from .divergences import (  # hs_discrete has no caller here; perfbench rebinds it by name
     Density1D,
     ProjectedSphereDensity,
@@ -242,15 +243,21 @@ def _estimate(x: np.ndarray, sp: SamplerPlan, ref: np.ndarray) -> Estimate:
 def _release_law(x: np.ndarray, sp: SamplerPlan) -> tuple[float, Density1D | None]:
     """sample_unbounded's exact output law on x at d = 1 and ref_size == n1:
     the Pass probability p and, when p > 0, the Pass part, p times the density
-    of mu + r t on [mu - r, mu + r] with t ~ ProjectedSphereDensity(n2, 1)."""
+    of its ``samplers.unbounded_law``, mu + r t on [mu - r, mu + r] with
+    r = scale * |W| and t ~ ProjectedSphereDensity(n2, 1)."""
     est = _estimate(x, sp, np.arange(sp.n1))
     p = float(Gate.of(sp.params).pass_probability(est.score))
-    if p == 0.0:  # no Pass part, and w_matrix may be zero
+    if p == 0.0:  # no Pass part, and W may be zero
         return p, None
-    mu = float(est.mu_hat[0])
-    r = math.sqrt((1.0 - 1.0 / sp.n1) * sp.n2) * float(np.linalg.norm(est.cov.w_matrix))
+    law = samplers.unbounded_law(est, sp)
+    mu, r = float(law.mu[0]), law.scale * float(np.linalg.norm(law.factor))
     c, t = math.log(p / r), ProjectedSphereDensity(sp.n2, 1)
-    return p, Density1D(lambda z: c + t.log_pdf((z - mu) / r), (mu - r, mu + r))
+
+    def log_pdf(z: np.ndarray) -> np.ndarray:
+        u = (z - mu) / r
+        return c + t.log_pdf_sq(u * u)
+
+    return p, Density1D(log_pdf, (mu - r, mu + r))
 
 
 def audit_score_sensitivity(

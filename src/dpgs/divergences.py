@@ -70,35 +70,6 @@ class Density1D:
             out[inside] = np.exp(self.log_pdf(x[inside]))
         return out
 
-    def mass(self) -> float:
-        """Quadrature of the density over its window; should be 1 within
-        1e-6. Raises QuadratureFailure when the error bound exceeds 1e-8."""
-        return float(_integrate(self.pdf, _scan_grid((self,))).sum())
-
-
-def gaussian_1d(mu: float, sigma: float) -> Density1D:
-    """N(mu, sigma^2) as a Density1D with a 14-sigma bulk."""
-    if sigma <= 0.0:
-        raise PreconditionViolated("sigma must be positive")
-    const = -0.5 * math.log(2.0 * math.pi) - math.log(sigma)
-
-    def log_pdf(x: np.ndarray) -> np.ndarray:
-        z = (np.asarray(x, dtype=float) - mu) / sigma
-        return const - 0.5 * z * z
-
-    return Density1D(log_pdf, (-math.inf, math.inf), (mu - 14.0 * sigma, mu + 14.0 * sigma))
-
-
-def uniform_1d(a: float, b: float) -> Density1D:
-    if not a < b:
-        raise PreconditionViolated("need a < b")
-    level = -math.log(b - a)
-
-    def log_pdf(x: np.ndarray) -> np.ndarray:
-        return np.full(np.asarray(x, dtype=float).shape, level)
-
-    return Density1D(log_pdf, (a, b))
-
 
 @dataclass(frozen=True)
 class ProjectedSphereDensity:
@@ -106,7 +77,8 @@ class ProjectedSphereDensity:
 
     On the open unit ball of R^i the density is proportional to
     ``(1 - ||x||^2)^{(n-i)/2 - 1}``; the squared radius of the projection
-    is Beta(i/2, (n-i)/2). log_pdf returns -inf outside the ball.
+    is Beta(i/2, (n-i)/2). log_pdf_sq reads it at a squared norm, -inf
+    outside the ball; ``t_density_log_pdf(t, I, n)`` reads it at points t.
     """
 
     n: int
@@ -126,27 +98,12 @@ class ProjectedSphereDensity:
     def exponent(self) -> float:
         return 0.5 * (self.n - self.i) - 1.0
 
-    def log_pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.i == 1 and (x.ndim == 0 or x.ndim == 1):
-            sq = x * x
-        else:
-            if x.shape[-1] != self.i:
-                raise DimensionMismatch(f"expected last axis {self.i}, got {x.shape}")
-            sq = np.sum(x * x, axis=-1)
-        return self.log_pdf_sq(sq)
-
     def log_pdf_sq(self, sq: np.ndarray) -> np.ndarray:
         """log_pdf at points of squared norm sq, -inf from sq >= 1 on; NaN stays NaN."""
         sq = np.asarray(sq, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             val = self.exponent() * np.log1p(-sq) - self.log_norm
         return np.where(sq >= 1.0, -np.inf, val)
-
-    def as_density1d(self) -> Density1D:
-        if self.i != 1:
-            raise PreconditionViolated("only the 1-d projection maps to Density1D")
-        return Density1D(self.log_pdf, (-1.0, 1.0))
 
 
 # Nodes and weights of every panel estimate; the 8-point weights sum to 2.0
@@ -227,8 +184,8 @@ def hockey_stick_1d(p: Density1D, q: Density1D, eps: float, form: str = "abs") -
     ("abs" or "max"); the two agree up to quadrature error. Raises
     QuadratureFailure when the accumulated error bound exceeds 1e-8.
     """
-    if eps < 0.0:
-        raise PreconditionViolated("eps must be >= 0")
+    if not 0.0 <= eps < math.inf:  # NaN fails the comparison too
+        raise PreconditionViolated(f"eps must be finite and >= 0, got {eps}")
     if form not in ("abs", "max"):
         raise PreconditionViolated(f"unknown form {form!r}")
     ratio = math.exp(eps)
@@ -245,6 +202,8 @@ def hockey_stick_1d(p: Density1D, q: Density1D, eps: float, form: str = "abs") -
 
 def hs_discrete(p: np.ndarray, q: np.ndarray, eps: float) -> float:
     """Hockey-stick divergence between finite distributions on a shared support."""
+    if not 0.0 <= eps < math.inf:  # NaN fails the comparison too
+        raise PreconditionViolated(f"eps must be finite and >= 0, got {eps}")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
@@ -252,8 +211,6 @@ def hs_discrete(p: np.ndarray, q: np.ndarray, eps: float) -> float:
     for name, v in (("p", p), ("q", q)):
         if np.any(v < -1e-12) or abs(v.sum() - 1.0) > 1e-9:
             raise PreconditionViolated(f"{name} is not a probability vector")
-    if eps < 0.0:
-        raise PreconditionViolated("eps must be >= 0")
     return float(np.sum(np.clip(p - math.exp(eps) * q, 0.0, None)))
 
 

@@ -176,32 +176,21 @@ def plan(
         raise InvalidParams(f"plan sizes overflow at c1={c1}, c2={c2}") from exc
 
 
-def truncated_laplace(
-    gen: np.random.Generator, scale: float, radius: float, size: int | None = None
-) -> np.ndarray | float:
-    """Symmetric Laplace(scale) draw(s) conditioned on [-radius, radius].
+def truncated_laplace(gen: np.random.Generator, scale: float, radius: float) -> float:
+    """One symmetric Laplace(scale) draw conditioned on [-radius, radius]: the gate's noise.
 
-    Inverse-CDF sampling from u in [0, 1); the result is clamped to
+    Inverse-CDF sampling from one ``gen.random()`` u in [0, 1), in plain float
+    arithmetic with numpy's ``log1p``; the result is clamped to
     [-radius, nextafter(radius, -inf)] so float rounding can never emit the
     open upper endpoint.
-
-    With size None (the gate's one draw per call) the draw is a Python float
-    computed in plain float arithmetic: the same uniform, the same IEEE
-    operations in the same order and the same ``np.log1p`` as the array
-    form, so it has the bytes of ``truncated_laplace(gen, scale, radius,
-    size=1)[0]`` without numpy's per-call array overhead.
     """
     if scale <= 0.0 or radius <= 0.0:
         raise PreconditionViolated("scale and radius must be positive")
-    u = gen.random(size)
-    s = u - 0.5
+    s = gen.random() - 0.5
     q = -math.expm1(-radius / scale)  # 1 - exp(-radius/scale)
-    if size is None:
-        sign = 1.0 if s > 0.0 else -1.0 if s < 0.0 else 0.0  # np.sign(s)
-        x = -sign * scale * float(np.log1p(-2.0 * abs(s) * q))
-        return min(max(x, -radius), math.nextafter(radius, -math.inf))
-    x = -np.sign(s) * scale * np.log1p(-2.0 * np.abs(s) * q)
-    return np.clip(x, -radius, np.nextafter(radius, -np.inf))
+    sign = 1.0 if s > 0.0 else -1.0 if s < 0.0 else 0.0  # np.sign(s)
+    x = -sign * scale * float(np.log1p(-2.0 * abs(s) * q))
+    return min(max(x, -radius), math.nextafter(radius, -math.inf))
 
 
 GATE_EPS_FRAC = 1.0 / 3.0

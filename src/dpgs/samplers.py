@@ -1,11 +1,13 @@
 """Differentially private Gaussian sampling pipelines.
 
-Three entry points share one skeleton, ``_run``: estimate, gate, noise.
+Three entry points share one skeleton, ``_run``: estimate, gate, release.
 ``estimate`` runs the stability-scored estimators (the same chain the audit
 re-checks), the noisy threshold test ``ptr_check`` gates the worst score
-with the pipeline's ``privacy.Gate``, and only on Pass does the output get
-noise that rides on the estimated covariance factor. Each entry point only
-validates its input, splits it into blocks and supplies its release noise.
+with the pipeline's ``privacy.Gate``, and only on Pass does the pipeline
+build its ``ReleaseLaw`` from the estimate and draw the output from it.
+Each entry point only validates its input, splits it into blocks and names
+its release law; ``unbounded_law`` is sample_unbounded's, which the audit's
+exact output law reads too.
 
 Every pipeline consumes its RngStream through a single generator in a fixed
 order (reference subset, gate noise, then output randomness), so running
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -110,16 +112,43 @@ def estimate(
     return Estimate(cov_out, mean_out, sigma_hat, mean_out.weights @ mean_block, eig)
 
 
+class ReleaseLaw(NamedTuple):
+    """A pipeline's output law on Pass: ``mu + scale * factor @ z``, with z
+    uniform on the unit sphere (sphere) or standard normal (Gaussian) in
+    R^{factor.shape[1]}. factor @ factor.T is sigma_hat; None stands for the
+    identity, and then the output is ``mu + scale * z`` with z in R^d.
+    Immutable; a tuple, as it is built on every passing call."""
+
+    mu: np.ndarray
+    scale: float
+    factor: np.ndarray | None
+    sphere: bool
+
+    def draw(self, gen: np.random.Generator) -> np.ndarray:
+        """One output from gen's next draws."""
+        mu, scale, factor, sphere = self
+        n = mu.shape[0] if factor is None else factor.shape[1]
+        z = sphere_point(gen, n) if sphere else gen.standard_normal(n)
+        return mu + scale * (z if factor is None else factor @ z)
+
+
+def unbounded_law(est: Estimate, plan: SamplerPlan) -> ReleaseLaw:
+    """sample_unbounded's release law on est: ``mu_hat + sqrt((1 - 1/n1) n2) W z``
+    with W = est.cov.w_matrix (W W^T = sigma_hat) and z uniform on S^{n2-1}."""
+    scale = math.sqrt((1.0 - 1.0 / plan.n1) * plan.n2)
+    return ReleaseLaw(est.mu_hat, scale, est.cov.w_matrix, True)
+
+
 def _run(
     mean_block: np.ndarray, cov_block: np.ndarray | None, cfg: EstimatorConfig,
     gate: Gate, ref_size: int, sizes: dict[str, Any],
-    noise: Callable[[np.random.Generator, Estimate], np.ndarray], rng: RngStream,
+    law: Callable[[Estimate], ReleaseLaw], rng: RngStream,
 ) -> tuple[SampleResult, RunTrace]:
     """The skeleton every pipeline runs once its input is validated:
-    estimate at a drawn reference set, gate its score, and on Pass return
-    ``est.mu_hat + noise(gen, est)``, drawn after the gate's noise. Non-finite
-    blocks are rejected before the stream is touched, so a rejected call
-    consumes no randomness."""
+    estimate at a drawn reference set, gate its score, and on Pass return a
+    draw of ``law(est)``, taken after the gate's noise; the law is built on
+    Pass only. Non-finite blocks are rejected before the stream is touched,
+    so a rejected call consumes no randomness."""
     for block in (mean_block, cov_block):
         if block is not None and not np.isfinite(block).all():
             raise NonFiniteInput("dataset holds a NaN or infinite entry")
@@ -138,7 +167,7 @@ def _run(
     )
     if outcome is PtrOutcome.FAIL:
         return SampleResult(None), trace
-    return SampleResult(est.mu_hat + noise(gen, est)), trace
+    return SampleResult(law(est).draw(gen)), trace
 
 
 def sample_unbounded(
@@ -148,21 +177,17 @@ def sample_unbounded(
 
     x must have shape (plan.n, plan.d): rows [0, n1) feed the mean
     estimate, rows [n1, n) the covariance estimate. On Pass the output is
-    ``mu_hat + sqrt((1 - 1/n1) n2) * W z`` with z uniform on the unit
-    sphere in R^{n2}, which under clean data is one exact draw from the
-    underlying Gaussian.
+    a draw of ``unbounded_law``, which under clean data is one exact draw
+    from the underlying Gaussian.
     """
     x = np.ascontiguousarray(x, dtype=float)
     if x.shape != (plan.n, plan.d):
         raise ShapeMismatch(f"dataset shape {x.shape} does not match plan {(plan.n, plan.d)}")
-    scale = math.sqrt((1.0 - 1.0 / plan.n1) * plan.n2)
     sizes = {"n": plan.n, "n1": plan.n1, "n2": plan.n2, "k": plan.k,
              "ref_size": plan.ref_size, "lambda0": plan.lambda0}
     return _run(
         x[: plan.n1], x[plan.n1 :], EstimatorConfig(plan.lambda0, plan.k), Gate.of(plan.params),
-        plan.ref_size, sizes,
-        lambda gen, est: scale * (est.cov.w_matrix @ sphere_point(gen, plan.n2)),
-        rng,
+        plan.ref_size, sizes, lambda est: unbounded_law(est, plan), rng,
     )
 
 
@@ -209,7 +234,7 @@ def cov_aware_mean(
     c = math.sqrt(c_sq)
     return _run(
         mean_block, cov_block, cfg, gate, m_ref, sizes,
-        lambda gen, est: c * (sym_sqrt(est.sigma_hat, est.eig) @ gen.standard_normal(x.shape[1])),
+        lambda est: ReleaseLaw(est.mu_hat, c, sym_sqrt(est.sigma_hat, est.eig), False),
         rng,
     )
 
@@ -230,6 +255,6 @@ def sample_known_cov(
     sizes = {"n1": plan.n1, "k": plan.k, "ref_size": plan.ref_size, "lambda0": plan.lambda0}
     return _run(
         x, None, EstimatorConfig(plan.lambda0, plan.k), Gate.of(plan.params), plan.ref_size, sizes,
-        lambda gen, _: math.sqrt(1.0 - 1.0 / plan.n1) * gen.standard_normal(plan.d),
+        lambda est: ReleaseLaw(est.mu_hat, math.sqrt(1.0 - 1.0 / plan.n1), None, False),
         rng,
     )

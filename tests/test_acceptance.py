@@ -27,10 +27,12 @@ from dpgs.audit import (
     strict_plan,
 )
 from dpgs.cli import main
-from dpgs.divergences import gaussian_1d, hockey_stick_1d, hs_discrete, weak_triangle_check
+from dpgs.divergences import hockey_stick_1d, hs_discrete, weak_triangle_check
 from dpgs.privacy import Gate, PrivacyParams, PtrOutcome
 from dpgs.randomness import RngStream
 from dpgs.samplers import ptr_check
+
+from densities import gaussian_1d
 
 SEED = 7
 

@@ -265,6 +265,20 @@ class TestSharedEstimate:
         run()
         assert len(calls) == expected
 
+    def test_the_audited_law_is_the_sampled_law(self, monkeypatch):
+        # _release_law and a passing sample_unbounded call each build the
+        # release law through the one samplers.unbounded_law, once per call
+        calls = []
+        real = samplers.unbounded_law
+        monkeypatch.setattr(samplers, "unbounded_law", lambda *args: calls.append(1) or real(*args))
+        x = _smoke_pair(STRICT1, 1)[1]
+        p, law = audit_mod._release_law(x, STRICT1)
+        assert p > 0.0 and law is not None
+        assert len(calls) == 1
+        res, _ = sample_unbounded(x, STRICT1, RngStream(7, 2))
+        assert not res.failed
+        assert len(calls) == 2
+
 
 class TestDensityLemmas:
     def test_grids_stay_under_budget(self):

@@ -250,9 +250,18 @@ def test_ladder_granularity_follows_the_gate_where_the_closed_form_rounds_across
     assert ladder_granularity(CLOSED_FORM_ABOVE_GATE) == 35
 
 
+def truncated_laplace_array(gen, scale, radius, size):
+    """size draws of truncated_laplace as numpy arrays: the bitwise reference
+    of the gate's scalar draw, and the batch the law tests sample."""
+    s = gen.random(size) - 0.5
+    q = -math.expm1(-radius / scale)
+    x = -np.sign(s) * scale * np.log1p(-2.0 * np.abs(s) * q)
+    return np.clip(x, -radius, np.nextafter(radius, -np.inf))
+
+
 def test_truncated_laplace_bounds_and_symmetry():
     gen = np.random.default_rng(31)
-    xs = truncated_laplace(gen, scale=2.0, radius=6.0, size=1_000_000)
+    xs = truncated_laplace_array(gen, scale=2.0, radius=6.0, size=1_000_000)
     assert xs.max() < 6.0  # strictly below the top of the interval
     assert xs.min() >= -6.0
     assert abs(xs.mean()) <= 0.01
@@ -262,14 +271,14 @@ def test_truncated_laplace_bounds_and_symmetry():
 
 def test_truncated_laplace_scalar_mode():
     # The gate's scalar draw is plain float arithmetic; its bytes must be
-    # those of the array form, draw for draw, off one seeded stream. The
+    # those of the array reference, draw for draw, off one seeded stream. The
     # pairs: the default gate's; then radius / scale a subnormal of a few
     # ulps, where the coarse q pushes raw draws past both ends, so both
     # clamps bind.
     n = 100_000
     gate = Gate.of(PrivacyParams(1.0, 0.05))
     for scale, radius in ((1.0, 3.0), (gate.scale, gate.threshold), (1e300, 1.02e-22)):
-        want = truncated_laplace(np.random.default_rng(32), scale, radius, size=n)
+        want = truncated_laplace_array(np.random.default_rng(32), scale, radius, n)
         gen = np.random.default_rng(32)
         got = [truncated_laplace(gen, scale, radius) for _ in range(n)]
         assert all(type(x) is float for x in got)
@@ -286,7 +295,7 @@ def test_truncated_laplace_tail_mass_matches():
     # fraction above radius/2 should match the conditional Laplace mass
     gen = np.random.default_rng(33)
     scale, radius = 2.0, 8.0
-    xs = truncated_laplace(gen, scale, radius, size=500_000)
+    xs = truncated_laplace_array(gen, scale, radius, 500_000)
     q = 1.0 - math.exp(-radius / scale)
     want = (math.exp(-(radius / 2) / scale) - math.exp(-radius / scale)) / (2.0 * q)
     got = np.mean(xs > radius / 2)
@@ -307,7 +316,7 @@ def pass_mask(scores, gate, gen):
     """Reference gate outcomes (True = pass) for a batch of scores: one
     truncated-Laplace draw per score, pass iff score + eta < threshold."""
     threshold = gate.threshold
-    eta = truncated_laplace(gen, gate.scale, threshold, size=scores.size)
+    eta = truncated_laplace_array(gen, gate.scale, threshold, scores.size)
     return scores + eta < threshold
 
 

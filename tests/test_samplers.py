@@ -128,6 +128,44 @@ def test_full_reference_set_draws_gate_noise_first():
             assert result.value.tobytes() == (est.mu_hat + noise(g, est)).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 5, 20])
+def test_clean_release_is_the_idealized_sampler(d):
+    # On clean data both scores are 0 and every count is k, so the gate
+    # passes surely and the release is the idealized sampler
+    # mean(head) + sqrt(1 - 1/n1) Y^T z: Y holds the pairs
+    # (x_i - x_{i+m}) / sqrt(2) of the covariance block and z is the
+    # stream's sphere point after the gate's draw. sample_known_cov's is
+    # mean(x) + sqrt(1 - 1/n1) g, g the standard normal draw after the gate's.
+    sp = plan(0.2, PrivacyParams(1.0, 0.05), d)
+    gen = np.random.default_rng(800 + d)
+    q, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    root = q * np.linspace(0.5, 2.0, d)
+    mu = 3.0 + np.arange(d)
+    inflation = math.sqrt(1.0 - 1.0 / sp.n1)
+
+    def pairs_times_sphere_point(x, g):
+        cov = x[sp.n1 :]
+        y = (cov[: sp.n2] - cov[sp.n2 :]) / math.sqrt(2.0)
+        u = g.standard_normal(sp.n2)
+        return y.T @ (u / np.linalg.norm(u))
+
+    for seed in range(3):
+        cases = (
+            (sample_unbounded, gaussian_data(gen, sp.n, mu, root), pairs_times_sphere_point),
+            (sample_known_cov, gaussian_data(gen, sp.n1, mu, np.eye(d)),
+             lambda x, g: g.standard_normal(d)),
+        )
+        for run, x, noise in cases:
+            rng = RngStream(seed, 9)
+            result, trace = run(x, sp, rng)
+            assert trace.score_mean == 0 and trace.score_cov in (0, None)
+            assert trace.mean_uniform and trace.cov_uniform in (True, None)
+            g = rng.generator()
+            g.random()  # the gate's one draw
+            ideal = x[: sp.n1].mean(axis=0) + inflation * noise(x, g)
+            assert np.linalg.norm(result.value - ideal) <= 1e-9 * np.linalg.norm(ideal)
+
+
 def test_release_does_not_depend_on_memory_layout():
     # BLAS rounds a product by the layout of its operands, so each entry
     # point makes its input C-contiguous before any product: the released
