@@ -16,6 +16,7 @@ log-ratio grids read differences of that log density.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,6 +31,8 @@ from .exceptions import (
 )
 from .linalg import check_symmetric
 from .randomness import RngStream
+
+_EPS_MAX = math.log(sys.float_info.max)  # the largest eps whose exp(eps) is finite
 
 
 @dataclass(frozen=True)
@@ -184,8 +187,8 @@ def hockey_stick_1d(p: Density1D, q: Density1D, eps: float, form: str = "abs") -
     ("abs" or "max"); the two agree up to quadrature error. Raises
     QuadratureFailure when the accumulated error bound exceeds 1e-8.
     """
-    if not 0.0 <= eps < math.inf:  # NaN fails the comparison too
-        raise PreconditionViolated(f"eps must be finite and >= 0, got {eps}")
+    if not 0.0 <= eps <= _EPS_MAX:  # NaN fails the comparison too
+        raise PreconditionViolated(f"eps must be finite and >= 0 with exp(eps) finite, got {eps}")
     if form not in ("abs", "max"):
         raise PreconditionViolated(f"unknown form {form!r}")
     ratio = math.exp(eps)
@@ -202,8 +205,8 @@ def hockey_stick_1d(p: Density1D, q: Density1D, eps: float, form: str = "abs") -
 
 def hs_discrete(p: np.ndarray, q: np.ndarray, eps: float) -> float:
     """Hockey-stick divergence between finite distributions on a shared support."""
-    if not 0.0 <= eps < math.inf:  # NaN fails the comparison too
-        raise PreconditionViolated(f"eps must be finite and >= 0, got {eps}")
+    if not 0.0 <= eps <= _EPS_MAX:  # NaN fails the comparison too
+        raise PreconditionViolated(f"eps must be finite and >= 0 with exp(eps) finite, got {eps}")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:

@@ -121,13 +121,19 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _scatter_norms(ys: np.ndarray, m: int) -> np.ndarray:
     """Each row's norm ``y_i^T a^{-1} y_i`` under ``a = ys^T ys / m``, all
-    +inf when a is singular (so every row is pruned at any threshold)."""
+    +inf when a is singular (so every row is pruned at any threshold).
+
+    The whitened coordinates are the (d, m) product ``u^T ys^T`` (BLAS reads
+    both transposes by flag), so the divide and the sum of squares run along
+    the long axis m, not in numpy loops d long. The order moves only the
+    norms' last bits, and they decide only integers: prune or keep, entry rung.
+    """
     w, u = _eigh((ys.T @ ys) / m)  # normalizer m, the full row count
     if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
         return np.full(ys.shape[0], np.inf)
-    coords = ys @ u  # divided in place: a pass holds two m x d arrays at most
-    coords /= np.sqrt(w)
-    return np.einsum("ij,ij->i", coords, coords)
+    coords = u.T @ ys.T  # divided in place: a pass holds two d x m arrays at most
+    coords /= np.sqrt(w)[:, None]
+    return np.einsum("ij,ij->j", coords, coords)
 
 
 def _prune_to_fixed_point(
@@ -248,8 +254,12 @@ def stable_cov(x: np.ndarray, cfg: EstimatorConfig) -> WeightedCovOutput:
     clean = norms is not None and norms.max() <= cfg.lambda0
     t = np.zeros(m, dtype=np.int64) if clean else _ladder_entry_rungs(y, cfg, norms)
     counts, score = _ladder_counts_and_score(t, cfg.k)
-    weights = counts / (cfg.k * m)
-    w_matrix = (y * np.sqrt(weights)[:, None]).T
+    if clean:  # every count is k: one weight, and one scalar scales every row
+        w0 = cfg.k / (cfg.k * m)
+        weights, w_matrix = np.full(m, w0), (y * math.sqrt(w0)).T
+    else:
+        weights = counts / (cfg.k * m)
+        w_matrix = (y * np.sqrt(weights)[:, None]).T
     return WeightedCovOutput(w_matrix=w_matrix, weights=weights, counts=counts, score=score)
 
 

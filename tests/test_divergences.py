@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -218,6 +219,27 @@ def test_an_eps_that_is_not_finite_and_nonnegative_is_refused_before_any_work(ep
         hockey_stick_1d(dens, dens, eps)
     with pytest.raises(PreconditionViolated, match="eps must be finite and >= 0"):
         hs_discrete([0.5, 0.5], [0.5, 0.5], eps)
+
+
+@pytest.mark.parametrize("eps", [710.0, math.nextafter(math.log(sys.float_info.max), math.inf)])
+def test_an_eps_whose_exp_overflows_is_refused_before_any_work(eps):
+    # exp(eps) is not a finite float past log(max float): refused, not a bare OverflowError
+    def unread(x):
+        raise AssertionError("the density was read")
+
+    dens = Density1D(unread, (0.0, 1.0))
+    with pytest.raises(PreconditionViolated, match=r"exp\(eps\) finite"):
+        hockey_stick_1d(dens, dens, eps)
+    with pytest.raises(PreconditionViolated, match=r"exp\(eps\) finite"):
+        hockey_stick_1d(uniform_1d(0.0, 1.0), uniform_1d(0.0, 2.0), eps)
+    with pytest.raises(PreconditionViolated, match=r"exp\(eps\) finite"):
+        hs_discrete([0.5, 0.5], [0.5, 0.5], eps)
+
+
+@pytest.mark.parametrize("eps", [709.0, math.log(sys.float_info.max)])
+def test_hs_discrete_at_the_largest_finite_order_is_zero(eps):
+    assert hs_discrete([0.5, 0.5], [0.5, 0.5], eps) == 0.0
+    assert hs_discrete([0.75, 0.25], [0.5, 0.5], eps) == 0.0
 
 
 def test_hs_discrete_joint_convexity():

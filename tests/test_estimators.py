@@ -11,6 +11,7 @@ from dpgs.estimators import (
     EstimatorConfig,
     _ladder_counts_and_score,
     _ladder_entry_rungs,
+    _scatter_norms,
     largest_good_subset,
     neighbor_counts,
     pair_and_rescale,
@@ -140,6 +141,44 @@ def test_largest_good_subset_members_certified():
         assert np.all(norms <= lam * (1 + 1e-9))
 
 
+@pytest.mark.parametrize("m", [2, 319, 833, 28_374])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 20])
+def test_scatter_norms_match_a_solve(d, m):
+    # Each norm is y_i^T a^{-1} y_i with a = Y^T Y / m, here by a linear solve;
+    # with fewer rows than columns the scatter is singular and every norm +inf.
+    gen = np.random.default_rng([29, d, m])
+    if m < d:
+        assert np.all(_scatter_norms(gen.standard_normal((m, d)), m) == np.inf)
+        return
+    if m == 2:  # too few rows for a random draw to be sure of its conditioning
+        y = np.array([[1.0, 0.25], [-0.5, 1.5]])[:, :d]
+    else:
+        y = gen.standard_normal((m, d)) * 10.0 ** gen.uniform(-3.0, 3.0)
+    a = (y.T @ y) / m
+    assert np.linalg.cond(a) < 10.0
+    want = np.einsum("ij,ij->j", y.T, np.linalg.solve(a, y.T))
+    np.testing.assert_allclose(_scatter_norms(y, m), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 20])
+def test_scatter_norms_of_a_singular_or_nan_scatter(d):
+    gen = np.random.default_rng([31, d])
+    y = gen.standard_normal((319, d))
+    y[:, -1] = 0.0 if d == 1 else y[:, 0]  # a zero or a repeated column
+    assert np.all(_scatter_norms(y, 319) == np.inf)
+    # A NaN row reaches every entry of the scatter: the outcome is eigh's,
+    # either LinAlgError or a NaN norm for every row.
+    y = gen.standard_normal((319, d))
+    y[100, d // 2] = np.nan
+    try:
+        np.linalg.eigh((y.T @ y) / 319)
+    except np.linalg.LinAlgError:
+        with pytest.raises(np.linalg.LinAlgError):
+            _scatter_norms(y, 319)
+    else:
+        assert np.all(np.isnan(_scatter_norms(y, 319)))
+
+
 def test_stable_cov_two_point_trace():
     # x = (1, -1): one pair, y = sqrt(2), scatter 2, norm 1 <= 4 everywhere
     out = stable_cov(np.array([[1.0], [-1.0]]), CFG)
@@ -165,6 +204,29 @@ def test_stable_cov_clean_data_uniform():
     # under uniform weights the estimate is exactly the pairing scatter
     y = pair_and_rescale(x)
     assert np.allclose(out.covariance(), (y.T @ y) / m, atol=1e-12)
+
+
+@pytest.mark.parametrize("far", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 5, 20])
+def test_clean_block_factor_is_the_general_expression_bit_for_bit(d, far):
+    # The clean shortcut builds its weights and factor from one scalar; they
+    # and the estimate must be the bytes, in the layout, of the general form.
+    # One far pair takes the ladder, and the general form itself.
+    m, k = {1: 319, 2: 500, 5: 500, 20: 833}[d], 7
+    x = np.random.default_rng([37, d]).standard_normal((2 * m, d))
+    if far:
+        x[0] += 1e6
+    cfg = EstimatorConfig(lambda0=2.0 * d + 40.0, k=k)
+    out = stable_cov(x, cfg)
+    y = pair_and_rescale(x)
+    assert (_scatter_norms(y, m).max() <= cfg.lambda0) != far  # the clean shortcut's test
+    assert np.all(out.counts == k) != far and (out.score == 0) != far
+    weights = out.counts / (k * m)
+    w_matrix = (y * np.sqrt(weights)[:, None]).T
+    assert out.weights.dtype == weights.dtype and out.weights.tobytes() == weights.tobytes()
+    assert out.w_matrix.flags.f_contiguous and w_matrix.flags.f_contiguous
+    assert out.w_matrix.shape == w_matrix.shape and out.w_matrix.tobytes() == w_matrix.tobytes()
+    assert out.covariance().tobytes() == (w_matrix @ w_matrix.T).tobytes()
 
 
 def test_stable_cov_outlier_raises_score():
@@ -230,19 +292,31 @@ def test_stable_cov_score_zero_iff_base_threshold_clean():
     assert np.all(out.counts == cfg.k)
 
 
+def own_scatter_norms(ys, m):
+    """Each row's norm under ``a = ys^T ys / m``, or None when a is singular.
+
+    Written out on its own, sharing no code with the estimator, but by the
+    estimator's expression (whitened coordinate-major, the sum of squares
+    taken along the rows) so that a norm equal to a threshold is one there.
+    """
+    w, u = np.linalg.eigh((ys.T @ ys) / m)
+    if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
+        return None
+    coords = (u.T @ ys.T) / np.sqrt(w)[:, None]
+    return np.einsum("ij,ij->j", coords, coords)
+
+
 def reference_good_subset(y, lam):
     """The pruning loop restarted from the full set, written out on its own
     so that it shares no code with the estimator."""
     m = y.shape[0]
     mask = np.ones(m, dtype=bool)
     while np.any(mask):
-        a = (y[mask].T @ y[mask]) / m
-        w, u = np.linalg.eigh(a)
-        if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
+        norms = own_scatter_norms(y[mask], m)
+        if norms is None:
             mask[:] = False
             break
-        coords = (y[mask] @ u) / np.sqrt(w)
-        out = np.einsum("ij,ij->i", coords, coords) > lam
+        out = norms > lam
         if not np.any(out):
             break
         mask[np.flatnonzero(mask)[out]] = False
@@ -350,11 +424,8 @@ LADDER_INPUTS = {
 def full_set_top_norm(y):
     """Largest norm of the full set under its own scatter, by the same
     expression as the pruning loop, or None when the scatter is singular."""
-    w, u = np.linalg.eigh((y.T @ y) / y.shape[0])
-    if w[-1] <= 0.0 or w[0] <= SINGULAR_RTOL * w[-1]:
-        return None
-    coords = (y @ u) / np.sqrt(w)
-    return float(np.max(np.einsum("ij,ij->i", coords, coords)))
+    norms = own_scatter_norms(y, y.shape[0])
+    return None if norms is None else float(np.max(norms))
 
 
 def lambda0_for_threshold(top, ell, k):
